@@ -2,17 +2,19 @@
 
 Usage (from the repository root)::
 
-    python3 e2ebench/run.py --workload train-mlp --seed 1 --seconds 15 --trace 0
-    python3 e2ebench/run.py --workload all --seed 1 --seconds 15
+    python3 e2ebench/run.py --workload train-conv --seed 1 --seconds 30 --trace 0
+    python3 e2ebench/run.py --workload all --seed 1 --seconds 30
 
 ``--trace 0`` measures the end-to-end metrics with tracing off.
 ``--trace 1`` spends half the time untraced and half traced, prints the
 per-layer metrics and the tracing overhead (traced minus untraced), and
 writes the spans as Chrome trace-event JSON under ``.e2ebench/out/``.
 ``--workload all`` runs every workload in a fresh process, one after the
-other.  The last line of standard output is one JSON object with the
+other; ``train-mlp`` runs but is not in ``BENCHMARK.json``.  The last line of standard output is one JSON object with the
 keys ``correct``, ``attempted``, ``failed`` and ``metrics``; metric names
-and units come from ``BENCHMARK.json``.  See ``e2ebench/README.md``.
+and units come from ``BENCHMARK.json``.  On every way out, the run stops
+each process it started and waits for it, the program's resource tracker
+included.  See ``e2ebench/README.md``.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import argparse
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -99,6 +102,7 @@ def run_train(name: str, seed: int, seconds: float, trace: bool, cache):
               "details": {"trials": len(trials), "peak_rss_reset": peak_reset,
                           "trial_wall_throughput": [t.samples / t.wall_s for t in trials],
                           "trial_cpu_s": [t.cpu_s for t in trials],
+                          "trial_setup_s": [t.setup_s for t in trials],
                           "replica_val_error": [v for _, v in
                                                 tb.replica_outcomes(trials).values()]}}
     if not trace:
@@ -291,16 +295,24 @@ def run_all(args, spec) -> int:
 
 
 def main(argv=None) -> int:
+    import hostenv
+
     args = parse_args(argv)
     try:
         spec = load_spec()
     except OSError as exc:
         print(f"e2ebench: {exc}", file=sys.stderr)
         return 2
-    if args.workload == "all":
-        return run_all(args, spec)
-    return run_one(args, spec)
+    try:
+        if args.workload == "all":
+            return run_all(args, spec)
+        return run_one(args, spec)
+    finally:
+        hostenv.stop_child_processes()
 
 
 if __name__ == "__main__":
+    # SIGTERM unwinds through main's clean-up; forked ranks keep the default.
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+    os.register_at_fork(after_in_child=lambda: signal.signal(signal.SIGTERM, signal.SIG_DFL))
     sys.exit(main())

@@ -50,6 +50,10 @@ FACTORY = mnist_100_100
 @dataclass(frozen=True)
 class ServeConfig:
     max_batch_size: int = 16
+    # One worker thread (the server's default is 2): on 2 vCPUs, two workers
+    # drained 10-20% fewer requests/s at 25-35% more CPU per request, and
+    # swung more with the host's load (see README.md).
+    workers: int = 1
     online_rate: float = 1000.0  # requests/s, about a tenth of drain capacity
     online_share: float = 0.5  # of --seconds spent in the online phase
     bulk_requests: int = 4096  # per burst
@@ -119,7 +123,8 @@ def setup_server(sset: inputs.ServingSet, cfg: ServeConfig, budget: int,
                for r, p in enumerate(sset.paths)]
     for r in reversed(range(cold_start(sset.packed, cfg.cold_dense))):
         registry.acquire(digests[r])
-    server = InferenceServer(registry, max_batch_size=cfg.max_batch_size).start()
+    server = InferenceServer(registry, max_batch_size=cfg.max_batch_size,
+                             workers=cfg.workers).start()
     return server, digests, time.perf_counter() - t0
 
 

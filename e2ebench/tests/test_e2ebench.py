@@ -9,6 +9,7 @@ import json
 import numpy as np
 import pytest
 
+import hostenv
 import inputs
 import run
 import serve_bench
@@ -186,6 +187,9 @@ def test_tiny_run_of_every_workload(tiny, tmp_path, monkeypatch, capsys, workloa
         assert last["metrics"][m["name"]]["unit"] == m["unit"]
     if not trace:
         assert all(v["value"] > 0 for v in last["metrics"].values())
+    # No process of the run outlives it (train-mlp-2w starts ranks and the
+    # shared-memory resource tracker).
+    assert hostenv.child_pids() == []
     # A second run of the same seed compares against the recorded loss.
     assert run.main(argv) == 0
     assert json.loads(capsys.readouterr().out.splitlines()[-1])["correct"] is True
