@@ -1,7 +1,7 @@
-"""Repo-specific per-file lint rules (RPA001-RPA009).
+"""Repo-specific per-file lint rules (RPA002-RPA009).
 
-Each rule encodes one invariant the flat-weight-plane / workspace-pool /
-deterministic-regeneration design depends on (RPA006 guards the serving
+Each rule encodes one invariant the workspace-pool / deterministic-
+regeneration design depends on (RPA006 guards the serving
 layer's lock discipline, RPA007 the kernel-dispatch boundary, RPA008 the
 process/shared-memory boundary, RPA009 the sparse-format boundary).
 These rules see one file at a time; the interprocedural concurrency
@@ -23,7 +23,6 @@ from repro.analyze.engine import (
 )
 
 __all__ = [
-    "DataRebindRule",
     "HotPathAllocationRule",
     "UnseededRandomRule",
     "ImplicitFloat64Rule",
@@ -65,50 +64,6 @@ def _ends_with(path: str, suffixes: tuple[str, ...] | str) -> bool:
     if isinstance(suffixes, str):
         suffixes = (suffixes,)
     return any(path.endswith(s) for s in suffixes)
-
-
-@register_rule
-class DataRebindRule(Rule):
-    """RPA001: ``.data`` rebinding outside the Parameter/Tensor core.
-
-    ``Parameter.data`` is a zero-copy view into the flat weight plane.
-    Rebinding the attribute (``p.data = arr``) relies on the write-through
-    property to keep the aliasing alive, and silently *detaches* the view
-    when the value cannot broadcast.  Mutate in place instead
-    (``p.data[...] = arr`` or ``np.copyto(p.data, arr)``) so plane
-    aliasing is preserved by construction.
-    """
-
-    code = "RPA001"
-    summary = ".data rebinding can detach a parameter from the weight plane"
-    rationale = (
-        "Every Parameter.data must stay a zero-copy view into the flat "
-        "weight plane; attribute rebinding goes through a fallback that "
-        "detaches on shape mismatch. In-place writes cannot detach."
-    )
-
-    #: The property implementation itself plus the raw Tensor slot.
-    allowed_paths = ("nn/module.py", "tensor/tensor.py")
-
-    # AugAssign (`p.data += v`) is exempt: ndarray.__iadd__ mutates the
-    # view in place and the write-through setter sees the identical array.
-    def visit_Assign(self, node: ast.Assign) -> None:
-        if not _ends_with(self.src.relpath, self.allowed_paths):
-            for target in node.targets:
-                self._check_target(target)
-        self.generic_visit(node)
-
-    def _check_target(self, target: ast.AST) -> None:
-        if isinstance(target, (ast.Tuple, ast.List)):
-            for elt in target.elts:
-                self._check_target(elt)
-        elif isinstance(target, ast.Attribute) and target.attr == "data":
-            owner = dotted_name(target.value) or "<expr>"
-            self.report(
-                target,
-                f"rebinding `{owner}.data` — write in place "
-                f"(`{owner}.data[...] = ...`) to preserve plane aliasing",
-            )
 
 
 @register_rule

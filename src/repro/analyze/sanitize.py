@@ -5,11 +5,11 @@ checked here at runtime, behind an opt-in switch so the hot path stays
 untouched in normal runs:
 
 * **Plane integrity** — every :class:`~repro.nn.Parameter` must remain a
-  zero-copy view into its module's flat weight plane.
-  :func:`check_plane_integrity` verifies aliasing (exact base-pointer
-  offset), dtype, and a write round-trip for every parameter, and a
-  detach guard hooks the ``Parameter.data`` fallback so a silent detach
-  raises instead.
+  zero-copy view into its module's flat weight plane.  The
+  ``Parameter.data`` setter already refuses any assignment that would
+  break that; :func:`check_plane_integrity` verifies the result — aliasing
+  (exact base-pointer offset), dtype, and a write round-trip for every
+  parameter — so code that reaches past the setter is caught too.
 * **Workspace-pool poisoning** — released conv/pool backward buffers are
   NaN-filled between steps (:func:`repro.tensor.conv.poison_free_workspaces`),
   turning any use-after-release into either a loud
@@ -44,7 +44,6 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from repro.nn import module as nn_module
 from repro.nn.module import Module, Parameter
 from repro.tensor import conv
 from repro.train.callbacks import Callback
@@ -63,8 +62,6 @@ __all__ = [
     "sanitize_enabled",
     "check_plane_integrity",
     "check_finite_gradients",
-    "install_detach_guard",
-    "uninstall_detach_guard",
     "LockOrderWatchdog",
     "TrackedLock",
     "tracked_lock",
@@ -174,24 +171,6 @@ def check_plane_integrity(model: Module, strict: bool = True) -> list[str]:
             + "\n  ".join(problems)
         )
     return problems
-
-
-def _detach_guard(param: Parameter) -> None:
-    raise PlaneIntegrityError(
-        f"assignment detached {param!r} from the weight plane (value could "
-        "not broadcast into the existing view); resize-by-assignment is "
-        "forbidden under REPRO_SANITIZE"
-    )
-
-
-def install_detach_guard() -> None:
-    """Make any plane-detaching ``Parameter.data`` assignment raise."""
-    nn_module.set_plane_detach_hook(_detach_guard)
-
-
-def uninstall_detach_guard() -> None:
-    """Restore the silent detach-and-rebind fallback."""
-    nn_module.set_plane_detach_hook(None)
 
 
 # ---------------------------------------------------------------------- #

@@ -14,7 +14,7 @@ Commands
     sorted hot-spot table (optionally writing the perf JSON).
 ``analyze``
     AST lint pass enforcing the plane/pool/determinism invariants
-    (per-file rules RPA001-009 plus the interprocedural concurrency
+    (per-file rules RPA002-009 plus the interprocedural concurrency
     rules RPA010-013), diffed against a committed baseline.
 ``kernels``
     Inspect the kernel-dispatch registry (backends per op, active

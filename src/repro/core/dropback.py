@@ -89,7 +89,9 @@ class DropBack(Optimizer):
     include_nonprunable:
         If False, parameters flagged ``prunable=False`` get plain SGD
         updates and do not consume budget.  Default True (the paper prunes
-        everything, including BatchNorm and PReLU parameters).
+        everything, including BatchNorm and PReLU parameters).  The
+        prunable parameters must still be one contiguous run of the weight
+        plane, so non-prunable ones may only lead or trail the model.
     history_limit:
         Bound on the length of :attr:`swap_history`.  ``None`` (default)
         keeps every per-step churn count, the behaviour the Fig. 2
@@ -135,6 +137,16 @@ class DropBack(Optimizer):
         self._offsets = np.concatenate([[0], np.cumsum(self._sizes)]).astype(np.int64)
         self.total_prunable = int(self._offsets[-1])
         self._spans = list(zip(self._offsets[:-1], self._offsets[1:]))
+        # The step runs on model.weight_plane[_plane_lo : _plane_lo + n].
+        self._plane_lo = self._prunable[0][1].base_index if self._prunable else 0
+        for (lo, _), (name, p) in zip(self._spans, self._prunable):
+            if p.base_index != self._plane_lo + lo:
+                raise ValueError(
+                    "DropBack needs the prunable parameters to be one contiguous run of "
+                    f"the weight plane, but a non-prunable parameter precedes {name!r}; "
+                    "with include_nonprunable=False, mark only leading or trailing "
+                    "parameters prunable=False"
+                )
 
         seed = model.seed
         n = self.total_prunable
@@ -156,19 +168,10 @@ class DropBack(Optimizer):
         self._cand_flat = np.empty(n, dtype=np.float32)  # SGD candidates W'
         self._score32 = np.empty(n, dtype=np.float32)  # criterion, pre-upcast
         self._scores = np.empty(n, dtype=np.float64)  # selector input
-        self._w_scratch: np.ndarray | None = None  # gather target (indirect mode)
         self._regen_flat: np.ndarray | None = None  # strict-regeneration scratch
         self._mask_scratch = np.empty(n, dtype=bool)  # selector output buffer
         self._mask_store = np.empty(n, dtype=bool)  # committed tracked set
         self._swap_scratch = np.empty(n, dtype=bool)  # churn = mask & ~prev
-
-        # Direct mode: when the prunable parameters are a contiguous run of
-        # the model's weight plane, candidates/commits read and write the
-        # plane itself (zero gather/scatter).  Verified per step by cheap
-        # identity checks so external rebinding of a parameter's array
-        # degrades to the gather/scatter path instead of corrupting state.
-        self._views = [p.data for _, p in self._prunable]
-        self._plane_slice = self._resolve_plane_slice()
 
         self.frozen = False
         self._mask_flat: np.ndarray | None = None  # tracked-set mask (flat, prunable space)
@@ -185,33 +188,23 @@ class DropBack(Optimizer):
         # while frozen (zero_untracked only); see _register_sparse_packs.
         self._sparse_keys: list = []
 
-    def _resolve_plane_slice(self) -> np.ndarray | None:
-        """The plane sub-view covering all prunable params, if contiguous."""
-        plane = self.model.weight_plane
-        if plane is None or not self._prunable:
-            return None
-        base0 = self._prunable[0][1].base_index
-        for (lo, _), (_, p) in zip(self._spans, self._prunable):
-            if not p.plane_backed or p.base_index != base0 + lo:
-                return None
-        return plane[base0 : base0 + self.total_prunable]
+    def _plane_run(self) -> np.ndarray:
+        """The prunable parameters' span of the model's current weight plane.
 
-    def _direct(self) -> bool:
-        """True when every prunable param still aliases its plane view."""
-        return self._plane_slice is not None and all(
-            p.data is v for (_, p), v in zip(self._prunable, self._views)
-        )
+        Sliced afresh on every step, so the step follows the plane wherever
+        ``adopt_plane`` has moved it.
+        """
+        lo = self._plane_lo
+        return self.model.weight_plane[lo : lo + self.total_prunable]
 
     def rebind_plane(self) -> None:
-        """Re-resolve the cached plane views after an ``adopt_plane``.
+        """Re-register sparse packs after an ``adopt_plane``.
 
         The data-parallel trainer re-homes the model's weight plane into
-        (and later out of) a shared-memory arena; without this refresh the
-        per-step identity checks in :meth:`_direct` would see stale views
-        and silently degrade every step to the gather/scatter path.
+        (and later out of) a shared-memory arena.  The step itself needs
+        nothing (see :meth:`_plane_run`), but registered sparse packs key
+        on the old parameter views and must be rebuilt.
         """
-        self._views = [p.data for _, p in self._prunable]
-        self._plane_slice = self._resolve_plane_slice()
         if self.frozen and self._tracked_idx is not None:
             self._register_sparse_packs()
         else:
@@ -289,7 +282,7 @@ class DropBack(Optimizer):
         cutoff = sparse_kernels.density_cutoff()
         bounds = np.searchsorted(idx, self._offsets)
         for i, ((lo, _), (_, p)) in enumerate(zip(self._spans, self._prunable)):
-            if p.data.ndim not in (2, 4) or not p.plane_backed:
+            if p.data.ndim not in (2, 4):
                 continue
             s, e = int(bounds[i]), int(bounds[i + 1])
             if (e - s) / p.size > cutoff:
@@ -319,7 +312,7 @@ class DropBack(Optimizer):
 
     def _unfrozen_step(self) -> None:
         lr = self.lr
-        direct = self._direct()
+        w = self._plane_run()
 
         # 1. SGD candidates W' = W - lr*g as two whole-plane ops.
         with profiled("dropback.accumulate"):
@@ -329,14 +322,6 @@ class DropBack(Optimizer):
                     gseg.fill(0.0)
                 else:
                     np.copyto(gseg.reshape(p.shape), p.grad)
-            if direct:
-                w = self._plane_slice
-            else:
-                if self._w_scratch is None:
-                    self._w_scratch = np.empty(self.total_prunable, dtype=np.float32)
-                w = self._w_scratch
-                for (lo, hi), (_, p) in zip(self._spans, self._prunable):
-                    np.copyto(w[lo:hi].reshape(p.shape), p.data)
             np.multiply(self._g_flat, lr, out=self._cand_flat)
             np.subtract(w, self._cand_flat, out=self._cand_flat)
 
@@ -369,9 +354,6 @@ class DropBack(Optimizer):
         with profiled("dropback.regenerate"):
             np.copyto(w, reference)
             np.copyto(w, self._cand_flat, where=mask)
-            if not direct:
-                for (lo, hi), (_, p) in zip(self._spans, self._prunable):
-                    np.copyto(p.data, w[lo:hi].reshape(p.shape))
 
     def _frozen_step(self) -> None:
         """O(k) frozen update: gather tracked grads, update, scatter back."""
@@ -382,17 +364,10 @@ class DropBack(Optimizer):
             else:
                 np.take(p.grad, li, out=gk[s:e])
         np.multiply(gk, self.lr, out=gk)
-        if self._direct():
-            plane = self._plane_slice
-            np.take(plane, self._tracked_idx, out=wk)
-            np.subtract(wk, gk, out=wk)
-            plane[self._tracked_idx] = wk
-        else:
-            for p, s, e, li in self._frozen_segs:
-                np.take(p.data, li, out=wk[s:e])
-            np.subtract(wk, gk, out=wk)
-            for p, s, e, li in self._frozen_segs:
-                np.put(p.data, li, wk[s:e])
+        w = self._plane_run()
+        np.take(w, self._tracked_idx, out=wk)
+        np.subtract(wk, gk, out=wk)
+        w[self._tracked_idx] = wk
         if self._sparse_keys:
             sparse_kernels.mark_dirty(self._sparse_keys)
 

@@ -18,7 +18,9 @@ sparse checkpoint's content (seed + tracked indices/values):
   training.
 
 Outputs are bit-identical to running the trained dense model (verified in
-the test suite), because regeneration is exact.
+the test suite), because regeneration is exact.  Serving, which keeps the
+whole plane resident instead, materializes it with
+:func:`repro.io.apply_sparse_payload`.
 """
 
 from __future__ import annotations
@@ -85,7 +87,6 @@ class RegeneratingInferenceEngine:
         self._indices = tracked_indices[order]
         self._values = tracked_values[order]
         self.last_traffic: InferenceTraffic | None = None
-        self.resident = False
 
     @classmethod
     def from_optimizer(cls, model: Module, optimizer: DropBack) -> "RegeneratingInferenceEngine":
@@ -114,74 +115,6 @@ class RegeneratingInferenceEngine:
         block[self._indices[sel] - lo] = self._values[sel]
         n_tracked = stop - start
         return block.reshape(param.shape), int(n_tracked), param.size - int(n_tracked)
-
-    def materialize_resident(self, zero_untracked: bool = False) -> InferenceTraffic:
-        """Materialize the full weight plane once and leave it resident.
-
-        The serving path: regenerate every untracked weight (or zero it,
-        for connectivity-only checkpoints) and scatter the tracked values,
-        writing through the flat weight plane in one pass.  Afterwards the
-        model's weights are exactly the trained dense weights and
-        :meth:`forward_resident` can run batched forwards with no per-call
-        regeneration — materialize once, serve many.
-
-        Returns (and records in :attr:`last_traffic`) the one-time
-        materialization traffic.
-        """
-        model = self.model
-        params = model.parameters()
-        total = model.num_parameters()
-        plane = model.weight_plane
-        fetches = int(self._indices.size)
-        regens = 0
-        if plane is not None and plane.size == total and all(p.plane_backed for p in params):
-            if zero_untracked:
-                plane.fill(0.0)
-            else:
-                for p in params:
-                    p.data[...] = p.initial_values(self.seed)
-                regens = total - fetches
-            plane[self._indices] = self._values
-        else:  # detached-view fallback: per-parameter materialize
-            for _, p in model.named_parameters():
-                if zero_untracked:
-                    block = np.zeros(p.size, dtype=np.float32)
-                    lo = p.base_index
-                    start, stop = np.searchsorted(self._indices, [lo, lo + p.size])
-                    block[self._indices[start:stop] - lo] = self._values[start:stop]
-                    p.data[...] = block.reshape(p.shape)
-                else:
-                    w, _, r = self._materialize(p)
-                    p.data[...] = w
-                    regens += r
-        self.resident = True
-        self.last_traffic = InferenceTraffic(
-            tracked_fetches=fetches,
-            regenerations=regens,
-            peak_resident_weights=total + fetches,
-        )
-        return self.last_traffic
-
-    def forward_resident(self, x: np.ndarray | Tensor) -> np.ndarray:
-        """Batched forward over the resident (pre-materialized) weights.
-
-        Requires :meth:`materialize_resident` first (called implicitly on
-        first use).  Unlike :meth:`forward`, no weights are regenerated —
-        the whole plane stays resident, trading memory for latency, which
-        is the serving-layer trade (the registry's LRU budget bounds the
-        total resident bytes across models).
-        """
-        if not self.resident:
-            self.materialize_resident()
-        x = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float32))
-        was_training = self.model.training
-        self.model.eval()
-        try:
-            with no_grad():
-                out = self.model(x)
-        finally:
-            self.model.train(was_training)
-        return out.numpy()
 
     def forward(self, x: np.ndarray | Tensor) -> np.ndarray:
         """One forward pass; records traffic in :attr:`last_traffic`."""
@@ -226,19 +159,11 @@ class RegeneratingInferenceEngine:
         )
         return out.numpy()
 
-    def predict(self, x: np.ndarray, batch_size: int = 256, resident: bool = False) -> np.ndarray:
-        """Class predictions over a batch of inputs.
-
-        With ``resident=True`` the weights are materialized once up front
-        and every batch reuses them (the serving fast path); the default
-        re-materializes per batch, preserving the streaming memory profile.
-        """
-        if resident:
-            self.materialize_resident()
-        step = self.forward_resident if resident else self.forward
+    def predict(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
+        """Class predictions over a batch of inputs, streaming each batch."""
         outs = []
         for start in range(0, len(x), batch_size):
-            outs.append(step(x[start : start + batch_size]).argmax(axis=-1))
+            outs.append(self.forward(x[start : start + batch_size]).argmax(axis=-1))
         return np.concatenate(outs)
 
     def storage_floats(self) -> int:

@@ -49,6 +49,12 @@ class SparsePayload:
     indices/values (already dequantized for the quantized format), and the
     BatchNorm running statistics.  ``kind`` is ``"sparse"`` or
     ``"quantized"``; ``bits`` is set only for the latter.
+
+    Construction validates the tracked set — ``indices`` a 1-D int64 array
+    of distinct non-negative flat indices in increasing order, ``values``
+    a float32 array of the same length — and raises ``ValueError`` naming
+    the field otherwise, so a malformed checkpoint is rejected when it is
+    read or registered rather than when its weights are first written.
     """
 
     seed: int
@@ -58,6 +64,29 @@ class SparsePayload:
     buffers: dict[str, np.ndarray] = field(default_factory=dict)
     kind: str = "sparse"
     bits: int | None = None
+
+    def __post_init__(self) -> None:
+        idx, values = self.indices, self.values
+        if not isinstance(idx, np.ndarray) or idx.ndim != 1 or idx.dtype != np.int64:
+            raise ValueError(
+                f"SparsePayload.indices must be a 1-D int64 array, got {_describe(idx)}"
+            )
+        if idx.size and idx[0] < 0:
+            raise ValueError(f"SparsePayload.indices must be non-negative, got {idx[0]}")
+        if np.any(idx[1:] <= idx[:-1]):
+            raise ValueError(
+                "SparsePayload.indices must be strictly increasing "
+                "(sorted, without duplicates)"
+            )
+        if not isinstance(values, np.ndarray) or values.dtype != np.float32:
+            raise ValueError(
+                f"SparsePayload.values must be a float32 array, got {_describe(values)}"
+            )
+        if values.shape != idx.shape:
+            raise ValueError(
+                f"SparsePayload.values has shape {values.shape}, but indices has "
+                f"shape {idx.shape}"
+            )
 
     @property
     def k(self) -> int:
@@ -71,6 +100,12 @@ class SparsePayload:
             + self.values.nbytes
             + sum(b.nbytes for b in self.buffers.values())
         )
+
+
+def _describe(arr) -> str:
+    if isinstance(arr, np.ndarray):
+        return f"{arr.dtype} array of shape {arr.shape}"
+    return type(arr).__name__
 
 
 def read_sparse_payload(path: str) -> SparsePayload:
@@ -194,44 +229,26 @@ def load_sparse(model: Module, path: str) -> Module:
 
 
 def apply_sparse_payload(model: Module, payload: SparsePayload) -> Module:
-    """Materialize a decoded payload into a model (finalize + scatter)."""
+    """Materialize a decoded payload into a model — the one path from a
+    sparse checkpoint to weights (``load_sparse`` and the serving registry
+    both use it).
+
+    Finalizing with the stored seed writes W(0) into the weight plane (the
+    zeroing ablation then clears it).  The checkpoint's flat index space is
+    exactly the plane's layout, so the tracked values land in one
+    vectorized scatter through the plane, and every parameter view sees
+    them.  BatchNorm statistics are copied last.
+    """
     model.finalize(payload.seed)
-    _scatter_tracked(model, payload.indices, payload.values, payload.zero_untracked)
+    plane = model.weight_plane
+    if payload.k and payload.indices[-1] >= plane.size:
+        raise ValueError("checkpoint indices exceed model parameter count")
+    if payload.zero_untracked:
+        plane.fill(0.0)
+    plane[payload.indices] = payload.values
     for dotted, arr in payload.buffers.items():
         model._set_buffer(dotted, arr)
     return model
-
-
-def _scatter_tracked(
-    model: Module, indices: np.ndarray, values: np.ndarray, zero_untracked: bool
-) -> None:
-    """Write tracked ``values`` at flat ``indices`` into a finalized model.
-
-    The checkpoint's flat index space is exactly the model's weight-plane
-    layout, so when every parameter is still plane-backed the whole load is
-    one vectorized scatter through the plane (the views see it instantly —
-    no per-parameter copies).  Falls back to the per-parameter
-    concatenate/scatter path if any view was detached.
-    """
-    params = model.parameters()
-    total = sum(p.size for p in params)
-    if indices.size and indices.max() >= total:
-        raise ValueError("checkpoint indices exceed model parameter count")
-    plane = model.weight_plane
-    if plane is not None and plane.size == total and all(p.plane_backed for p in params):
-        if zero_untracked:
-            plane.fill(0.0)
-        plane[indices] = values
-        return
-    if zero_untracked:
-        for p in params:
-            p.data = np.zeros_like(p.data)
-    flat = np.concatenate([p.data.reshape(-1) for p in params])
-    flat[indices] = values
-    offset = 0
-    for p in params:
-        p.data = flat[offset : offset + p.size].reshape(p.shape).astype(np.float32)
-        offset += p.size
 
 
 def sparse_size_bytes(optimizer: DropBack) -> int:

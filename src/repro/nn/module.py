@@ -14,9 +14,10 @@ Each ``Parameter.data`` is a zero-copy view into the plane, so whole-network
 operations (DropBack's candidate/score/commit step, sparse checkpoint
 scatter, flat analyses) run as single vectorized ops over the plane while
 layers keep reading their own shaped views.  Assigning ``p.data = arr``
-*writes through* the view (the values are copied into the plane) rather
-than detaching it, so optimizer- and checkpoint-style assignments preserve
-the aliasing invariant automatically.
+*writes through* the view (the values are copied into the plane); a value
+that cannot broadcast into the view raises ``ValueError`` and leaves the
+plane untouched.  A finalized parameter therefore always aliases
+``model.weight_plane``, whatever optimizer or checkpoint code assigns it.
 
 Typical lifecycle::
 
@@ -27,26 +28,14 @@ Typical lifecycle::
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from repro.init import Initializer
 from repro.tensor import Tensor
 
-__all__ = ["Parameter", "Module", "set_plane_detach_hook"]
-
-# Observer invoked when a plane-backed parameter falls back to detaching
-# (an assignment that cannot broadcast into its plane view).  The runtime
-# sanitizer (repro.analyze.sanitize) installs a hook that raises, turning
-# the silent detach into a hard error; None keeps the legacy fallback.
-_PLANE_DETACH_HOOK: Callable[["Parameter"], None] | None = None
-
-
-def set_plane_detach_hook(hook: Callable[["Parameter"], None] | None) -> None:
-    """Install (or clear, with ``None``) the plane-detach observer."""
-    global _PLANE_DETACH_HOOK
-    _PLANE_DETACH_HOOK = hook
+__all__ = ["Parameter", "Module"]
 
 
 class Parameter(Tensor):
@@ -79,8 +68,8 @@ class Parameter(Tensor):
     # ``p.data = arr`` copies the values into the plane instead of
     # rebinding, which is what SGD/DropBack/checkpoint-load style code
     # does all over the tree.  An assignment that cannot broadcast into
-    # the view (a genuine reshape) falls back to detaching, matching the
-    # pre-plane replacement semantics.
+    # the view raises: numpy checks the shapes before copying anything, so
+    # the plane is untouched.
 
     @property
     def data(self) -> np.ndarray:
@@ -88,19 +77,20 @@ class Parameter(Tensor):
 
     @data.setter
     def data(self, value) -> None:
-        if getattr(self, "_plane_backed", False):
-            arr = np.asarray(value)
-            view = self._data
-            if arr is view:
-                return
-            try:
-                view[...] = arr
-                return
-            except (ValueError, TypeError):
-                self._plane_backed = False
-                if _PLANE_DETACH_HOOK is not None:
-                    _PLANE_DETACH_HOOK(self)
-        self._data = np.asarray(value)
+        arr = np.asarray(value)
+        if not getattr(self, "_plane_backed", False):
+            self._data = arr
+            return
+        view = self._data
+        if arr is view:
+            return
+        try:
+            view[...] = arr
+        except ValueError as exc:
+            raise ValueError(
+                f"cannot assign an array of shape {arr.shape} to {self!r}: it does "
+                f"not broadcast to the parameter's plane view of shape {view.shape}"
+            ) from exc
 
     @property
     def plane_backed(self) -> bool:

@@ -358,7 +358,7 @@ class ParallelTrainer(Trainer):
         try:
             # Move the plane into the arena *before* forking so children
             # inherit parameters that already view shared memory, then
-            # refresh optimizer-cached views (DropBack's direct path).
+            # let the optimizer rebuild what keys on the old views.
             adopt_plane(self.model, arena.plane)
             self.optimizer.rebind_plane()
 

@@ -84,8 +84,6 @@ def prune_channels(model: Module, prune_fraction: float) -> dict[str, np.ndarray
         if not keep.any():
             # Never kill an entire layer: keep its strongest channel.
             keep[np.argmax(np.abs(bn.gamma.data))] = True
-        # Mask in place: rebinding `.data` would detach the parameter's
-        # zero-copy view into the weight plane (RPA001).
         dead = ~keep
         bn.gamma.data[dead] = 0.0
         bn.beta.data[dead] = 0.0

@@ -9,10 +9,10 @@ weight plane only when a request actually needs it:
 * checkpoints are keyed by **content digest** (SHA-256 of the wire bytes),
   so the same checkpoint registered twice shares one entry and a client
   can pin an exact model version;
-* materialization reuses the regenerating inference engine: finalize the
-  architecture with the stored seed (regenerating every untracked weight)
-  and scatter the k tracked values — one contiguous write per model,
-  courtesy of the flat weight plane;
+* materialization is :func:`repro.io.apply_sparse_payload`, the same
+  function ``load_sparse`` uses: finalize the architecture with the stored
+  seed (regenerating every untracked weight) and scatter the k tracked
+  values through the flat weight plane in one vectorized write;
 * materialized planes are **LRU-evicted under a byte budget**: evicting a
   cold model drops only its plane (one contiguous buffer); the sparse
   payload stays, so the next request rematerializes it bit-exactly;
@@ -44,9 +44,8 @@ from typing import Callable
 
 import numpy as np
 
-from repro.analyze.sanitize import tracked_lock
-from repro.infer import RegeneratingInferenceEngine
-from repro.io import SparsePayload, read_sparse_payload
+from repro.analyze.sanitize import check_plane_integrity, sanitize_enabled, tracked_lock
+from repro.io import SparsePayload, apply_sparse_payload, read_sparse_payload
 from repro.nn import Module
 from repro.tensor import Tensor, no_grad
 
@@ -237,14 +236,8 @@ class ModelRegistry:
                 return packed
             # Unsupported for packing (regeneration-mode payload, buffers,
             # exotic layers): serve densely like any other entry.
-        model = entry.factory().finalize(payload.seed)
-        engine = RegeneratingInferenceEngine(model, payload.indices, payload.values)
-        engine.materialize_resident(zero_untracked=payload.zero_untracked)
-        for dotted, arr in payload.buffers.items():
-            model._set_buffer(dotted, arr)
+        model = apply_sparse_payload(entry.factory(), payload)
         model.eval()
-        from repro.analyze.sanitize import check_plane_integrity, sanitize_enabled
-
         if sanitize_enabled():
             check_plane_integrity(model)
         return model

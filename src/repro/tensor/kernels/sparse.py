@@ -149,8 +149,6 @@ class PackedWeight:
     def __init__(self, matrix, gather: np.ndarray | None = None,
                  base: np.ndarray | None = None):
         self.matrix = matrix
-        # repro: noqa[RPA001] CSR value-buffer alias on a plain slot class,
-        # not a Parameter plane view
         self.data = matrix.data
         self.gather = gather
         self.base = base

@@ -23,6 +23,7 @@ Design notes
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -32,11 +33,34 @@ from repro.profile import profiled
 __all__ = ["Tensor", "unbroadcast", "no_grad", "is_grad_enabled"]
 
 
-_GRAD_ENABLED = [True]
+class _ThreadFlag(threading.local):
+    """A boolean read and written as ``flag[0]``, separately in each thread
+    (``True`` until the thread sets it).
+
+    The one-item-list protocol lets a caller swap in a plain ``[True]`` to
+    give a scope its own flag (``e2ebench``'s tests do).
+    """
+
+    value = True
+
+    def __getitem__(self, index: int) -> bool:
+        return self.value
+
+    def __setitem__(self, index: int, value: bool) -> None:
+        self.value = value
+
+
+# Grad mode is per thread: serving workers run overlapping no_grad blocks,
+# and one thread's exit must not restore another thread's saved state.
+_GRAD_ENABLED = _ThreadFlag()
 
 
 class no_grad:
-    """Context manager disabling graph construction (for eval passes)."""
+    """Context manager disabling graph construction (for eval passes).
+
+    Affects only the calling thread; every thread starts with recording
+    enabled.
+    """
 
     def __enter__(self):
         self._prev = _GRAD_ENABLED[0]

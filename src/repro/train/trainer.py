@@ -107,7 +107,6 @@ class Trainer:
             from repro.analyze import sanitize as _sanitize
 
             self.callbacks.extend(_sanitize.sanitizer_callbacks())
-            _sanitize.install_detach_guard()
         self.history = History()
         self.global_step = 0
 

@@ -27,7 +27,7 @@ def make_source(text: str, relpath: str = "src/repro/x.py") -> SourceFile:
 
 
 def make_violation(
-    code="RPA001", path="src/repro/x.py", line=1, scope="f", snippet="p.data = 1"
+    code="RPA003", path="src/repro/x.py", line=1, scope="f", snippet="x = np.random.rand()"
 ) -> Violation:
     return Violation(
         code=code, path=path, line=line, col=0, message="m", scope=scope,
@@ -39,16 +39,16 @@ class TestNoqaParsing:
     def test_inline_coded_noqa(self):
         src = make_source("x = 1  # repro: noqa[RPA002] output buffer\n")
         assert src.is_suppressed("RPA002", 1)
-        assert not src.is_suppressed("RPA001", 1)
+        assert not src.is_suppressed("RPA003", 1)
 
     def test_bare_noqa_suppresses_all_codes(self):
         src = make_source("x = 1  # repro: noqa\n")
-        assert src.is_suppressed("RPA001", 1)
+        assert src.is_suppressed("RPA003", 1)
         assert src.is_suppressed("RPA005", 1)
 
     def test_multiple_codes_comma_separated(self):
-        src = make_source("x = 1  # repro: noqa[RPA001, RPA004]\n")
-        assert src.is_suppressed("RPA001", 1)
+        src = make_source("x = 1  # repro: noqa[RPA003, RPA004]\n")
+        assert src.is_suppressed("RPA003", 1)
         assert src.is_suppressed("RPA004", 1)
         assert not src.is_suppressed("RPA002", 1)
 
@@ -66,7 +66,7 @@ class TestNoqaParsing:
 
     def test_unsuppressed_lines_report(self):
         src = make_source("x = 1\n")
-        assert not src.is_suppressed("RPA001", 1)
+        assert not src.is_suppressed("RPA003", 1)
 
     def test_case_insensitive_marker(self):
         src = make_source("x = 1  # REPRO: NOQA[rpa002]\n")
@@ -86,7 +86,7 @@ class TestNoqaParsing:
         # suppressed even though the marker sits on line 2
         for line in (2, 3, 4, 5):
             assert src.is_suppressed("RPA002", line), line
-        assert not src.is_suppressed("RPA001", 3)
+        assert not src.is_suppressed("RPA003", 3)
 
     def test_noqa_on_closing_line_covers_opening_line(self):
         src = make_source(
@@ -119,19 +119,19 @@ class TestEngine:
 
     def test_select_limits_rules(self, tmp_path):
         f = tmp_path / "m.py"
-        f.write_text("p.data = np.zeros(3)\nq = np.array([0.5])\n")
-        only_rebind = LintEngine(select=["RPA001"], root=tmp_path).lint_paths([f])
-        assert [v.code for v in only_rebind] == ["RPA001"]
-        both = LintEngine(select=["RPA001", "RPA004"], root=tmp_path).lint_paths([f])
-        assert sorted(v.code for v in both) == ["RPA001", "RPA004"]
+        f.write_text("x = np.random.rand(3)\nq = np.array([0.5])\n")
+        only_rng = LintEngine(select=["RPA003"], root=tmp_path).lint_paths([f])
+        assert [v.code for v in only_rng] == ["RPA003"]
+        both = LintEngine(select=["RPA003", "RPA004"], root=tmp_path).lint_paths([f])
+        assert sorted(v.code for v in both) == ["RPA003", "RPA004"]
 
     def test_directory_walk_and_relative_paths(self, tmp_path):
         pkg = tmp_path / "pkg"
         pkg.mkdir()
-        (pkg / "a.py").write_text("p.data = 1\n")
+        (pkg / "a.py").write_text("x = np.random.rand(3)\n")
         (pkg / "b.py").write_text("ok = 1\n")
-        (pkg / "notes.txt").write_text("p.data = 1\n")
-        engine = LintEngine(select=["RPA001"], root=tmp_path)
+        (pkg / "notes.txt").write_text("x = np.random.rand(3)\n")
+        engine = LintEngine(select=["RPA003"], root=tmp_path)
         violations = engine.lint_paths([pkg])
         assert [v.path for v in violations] == ["pkg/a.py"]
 
@@ -149,8 +149,8 @@ class TestBaselineWorkflow:
         path = write_baseline(vs, tmp_path / "b.json")
         baseline = load_baseline(path)
         assert baseline.total == 3
-        assert baseline.entries["RPA001:f:p.data = 1"] == 2
-        assert baseline.entries["RPA001:g:p.data = 1"] == 1
+        assert baseline.entries["RPA003:f:x = np.random.rand()"] == 2
+        assert baseline.entries["RPA003:g:x = np.random.rand()"] == 1
 
     def test_schema_version_checked(self, tmp_path):
         path = tmp_path / "b.json"
@@ -160,23 +160,23 @@ class TestBaselineWorkflow:
 
     def test_diff_accepts_baselined_occurrences(self):
         vs = [make_violation(), make_violation()]
-        baseline = Baseline(entries={"RPA001:f:p.data = 1": 2})
+        baseline = Baseline(entries={"RPA003:f:x = np.random.rand()": 2})
         new, fixed = diff_baseline(vs, baseline)
         assert new == [] and not fixed
 
     def test_diff_flags_excess_occurrences(self):
         vs = [make_violation(line=i) for i in (1, 2, 3)]
-        baseline = Baseline(entries={"RPA001:f:p.data = 1": 2})
+        baseline = Baseline(entries={"RPA003:f:x = np.random.rand()": 2})
         new, _ = diff_baseline(vs, baseline)
         assert len(new) == 1  # one beyond budget
 
     def test_diff_reports_fixed_entries(self):
         baseline = Baseline(
-            entries={"RPA001:f:p.data = 1": 2, "RPA004:g:q = 0.5": 1}
+            entries={"RPA003:f:x = np.random.rand()": 2, "RPA004:g:q = 0.5": 1}
         )
         new, fixed = diff_baseline([make_violation()], baseline)
         assert new == []
-        assert fixed == {"RPA001:f:p.data = 1": 1, "RPA004:g:q = 0.5": 1}
+        assert fixed == {"RPA003:f:x = np.random.rand()": 1, "RPA004:g:q = 0.5": 1}
 
     def test_fingerprint_is_line_free(self):
         a = make_violation(line=10)
@@ -192,33 +192,33 @@ class TestBaselineWorkflow:
     def test_file_rename_keeps_baseline_clean(self, tmp_path):
         pkg = tmp_path / "src"
         pkg.mkdir()
-        (pkg / "old.py").write_text("def f():\n    p.data = np.zeros(3)\n")
-        engine = LintEngine(select=["RPA001"], root=tmp_path)
+        (pkg / "old.py").write_text("def f():\n    x = np.random.rand(3)\n")
+        engine = LintEngine(select=["RPA003"], root=tmp_path)
         baseline_path = write_baseline(engine.lint_paths([pkg]), tmp_path / "b.json")
         (pkg / "old.py").rename(pkg / "new.py")
-        after = LintEngine(select=["RPA001"], root=tmp_path).lint_paths([pkg])
+        after = LintEngine(select=["RPA003"], root=tmp_path).lint_paths([pkg])
         new, fixed = diff_baseline(after, load_baseline(baseline_path))
         assert new == [] and not fixed
 
 
 class TestExplainDrift:
     def test_edited_line_pairs_by_scope(self):
-        baseline = Baseline(entries={"RPA001:f:p.data = 1": 1})
-        moved = make_violation(snippet="p.data = 2")
+        baseline = Baseline(entries={"RPA003:f:x = np.random.rand()": 1})
+        moved = make_violation(snippet="x = np.random.randn()")
         report = explain_drift([moved], baseline)
         assert len(report) == 1
-        assert report[0]["vanished"] == "RPA001:f:p.data = 1"
+        assert report[0]["vanished"] == "RPA003:f:x = np.random.rand()"
         assert "edited line" in report[0]["reason"]
-        assert report[0]["paired_with"]["snippet"] == "p.data = 2"
+        assert report[0]["paired_with"]["snippet"] == "x = np.random.randn()"
 
     def test_scope_move_pairs_by_snippet(self):
-        baseline = Baseline(entries={"RPA001:f:p.data = 1": 1})
+        baseline = Baseline(entries={"RPA003:f:x = np.random.rand()": 1})
         moved = make_violation(scope="Klass.f")
         report = explain_drift([moved], baseline)
         assert "scope moved" in report[0]["reason"]
 
     def test_fixed_entry_with_no_match(self):
-        baseline = Baseline(entries={"RPA001:f:p.data = 1": 1})
+        baseline = Baseline(entries={"RPA003:f:x = np.random.rand()": 1})
         report = explain_drift([], baseline)
         assert report[0]["reason"].startswith("fixed")
         assert "paired_with" not in report[0]
@@ -238,7 +238,7 @@ class TestGithubFormat:
     def test_annotation_shape(self):
         v = make_violation(line=7)
         out = format_github(v)
-        assert out == "::error file=src/repro/x.py,line=7,col=1,title=RPA001::m"
+        assert out == "::error file=src/repro/x.py,line=7,col=1,title=RPA003::m"
 
     def test_message_escaping(self):
         v = make_violation()
@@ -263,11 +263,10 @@ class TestFindingsDocument:
             "baseline_path": None,
             "errors": 1,
         }
-        assert doc["violations"][0]["fingerprint"] == "RPA001:f:p.data = 1"
+        assert doc["violations"][0]["fingerprint"] == "RPA003:f:x = np.random.rand()"
         assert set(doc["rules"]) == {
-            "RPA001", "RPA002", "RPA003", "RPA004", "RPA005", "RPA006",
-            "RPA007", "RPA008", "RPA009", "RPA010", "RPA011", "RPA012",
-            "RPA013",
+            "RPA002", "RPA003", "RPA004", "RPA005", "RPA006", "RPA007",
+            "RPA008", "RPA009", "RPA010", "RPA011", "RPA012", "RPA013",
         }
 
 
@@ -275,7 +274,7 @@ class TestAnalyzeCLI:
     def _tree(self, tmp_path: Path) -> Path:
         pkg = tmp_path / "src"
         pkg.mkdir()
-        (pkg / "m.py").write_text("p.data = np.zeros(3)\n")
+        (pkg / "m.py").write_text("x = np.random.rand(3)\n")
         return pkg
 
     def test_new_violations_exit_1(self, tmp_path, monkeypatch, capsys):
@@ -283,7 +282,7 @@ class TestAnalyzeCLI:
         monkeypatch.chdir(tmp_path)
         assert cli_main(["analyze", "src"]) == 1
         out = capsys.readouterr().out
-        assert "RPA001" in out and "1 new" in out
+        assert "RPA003" in out and "1 new" in out
 
     def test_update_baseline_then_clean(self, tmp_path, monkeypatch, capsys):
         self._tree(tmp_path)
@@ -297,7 +296,7 @@ class TestAnalyzeCLI:
         pkg = self._tree(tmp_path)
         monkeypatch.chdir(tmp_path)
         assert cli_main(["analyze", "src", "--update-baseline"]) == 0
-        (pkg / "fresh.py").write_text("q.data = 1\n")
+        (pkg / "fresh.py").write_text("y = np.random.rand(2)\n")
         assert cli_main(["analyze", "src"]) == 1
 
     def test_json_artifact_written(self, tmp_path, monkeypatch):
@@ -306,17 +305,17 @@ class TestAnalyzeCLI:
         cli_main(["analyze", "src", "--json", "findings.json"])
         doc = json.loads((tmp_path / "findings.json").read_text())
         assert doc["summary"]["total"] == 1
-        assert doc["new"][0]["code"] == "RPA001"
+        assert doc["new"][0]["code"] == "RPA003"
 
     def test_select_filters_rules(self, tmp_path, monkeypatch):
         self._tree(tmp_path)
         monkeypatch.chdir(tmp_path)
-        assert cli_main(["analyze", "src", "--select", "RPA003"]) == 0
+        assert cli_main(["analyze", "src", "--select", "RPA004"]) == 0
 
     def test_list_rules(self, capsys):
         assert cli_main(["analyze", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("RPA001", "RPA005", "RPA010", "RPA011", "RPA012", "RPA013"):
+        for code in ("RPA002", "RPA005", "RPA010", "RPA011", "RPA012", "RPA013"):
             assert code in out
 
     def test_github_format_emits_annotations(self, tmp_path, monkeypatch, capsys):
@@ -325,7 +324,7 @@ class TestAnalyzeCLI:
         assert cli_main(["analyze", "src", "--format", "github"]) == 1
         out = capsys.readouterr().out
         assert "::error file=src/m.py,line=1," in out
-        assert "title=RPA001" in out
+        assert "title=RPA003" in out
 
     def test_no_baseline_ignores_baseline_file(self, tmp_path, monkeypatch):
         self._tree(tmp_path)
@@ -343,14 +342,14 @@ class TestAnalyzeCLI:
         self._tree(tmp_path)
         monkeypatch.chdir(tmp_path)
         assert cli_main(
-            ["analyze", "src", "--concurrency", "--select", "RPA001"]
+            ["analyze", "src", "--concurrency", "--select", "RPA003"]
         ) == 2
 
     def test_explain_drift_prints_pairs(self, tmp_path, monkeypatch, capsys):
         pkg = self._tree(tmp_path)
         monkeypatch.chdir(tmp_path)
         assert cli_main(["analyze", "src", "--update-baseline"]) == 0
-        (pkg / "m.py").write_text("p.data = np.zeros(4)\n")  # edited line
+        (pkg / "m.py").write_text("x = np.random.rand(4)\n")  # edited line
         assert cli_main(["analyze", "src", "--explain-drift"]) == 1
         out = capsys.readouterr().out
         assert "baseline drift:" in out

@@ -1,9 +1,9 @@
 """Validate the CI pipeline config and the perf-regression gate it calls.
 
-The workflow file must stay loadable by a YAML parser and keep the five
-jobs the pipeline is built around (tests, lint, bench-smoke, analyze,
-serve-bench); the ``scripts/check_perf_report.py`` comparison logic is
-tested directly by importing the script as a module.
+The workflow file must stay loadable by a YAML parser and keep the six
+jobs the pipeline is built around (tests, e2ebench-tests, lint,
+bench-smoke, analyze, serve-bench); the ``scripts/check_perf_report.py``
+comparison logic is tested directly by importing the script as a module.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ def workflow() -> dict:
 class TestWorkflowConfig:
     def test_parses_and_has_expected_jobs(self, workflow):
         assert set(workflow["jobs"]) == {
-            "tests", "lint", "bench-smoke", "analyze", "serve-bench"
+            "tests", "e2ebench-tests", "lint", "bench-smoke", "analyze", "serve-bench"
         }
 
     def test_concurrency_cancels_superseded_runs(self, workflow):
@@ -58,6 +58,13 @@ class TestWorkflowConfig:
         assert matrix["python-version"] == ["3.10", "3.12"]
         steps = " ".join(s.get("run", "") for s in workflow["jobs"]["tests"]["steps"])
         assert "pytest" in steps
+
+    def test_e2ebench_job_runs_the_benchmarks_own_tests(self, workflow):
+        job = workflow["jobs"]["e2ebench-tests"]
+        setup = [s for s in job["steps"] if "setup-python" in s.get("uses", "")]
+        assert setup[0]["with"]["python-version"] == "3.12"
+        runs = [s.get("run", "") for s in job["steps"]]
+        assert "python -m pytest e2ebench/tests -q" in runs
 
     def test_lint_job_runs_ruff_and_compileall(self, workflow):
         steps = " ".join(s.get("run", "") for s in workflow["jobs"]["lint"]["steps"])

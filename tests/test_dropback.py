@@ -304,3 +304,11 @@ class TestNonPrunable:
         # The prunable pool respects the budget.
         assert opt.tracked_mask.sum() == 3
         assert opt.total_prunable == m[0].weight.size + m[0].bias.size
+
+    def test_prunable_set_must_be_one_plane_run(self):
+        m = Sequential(Linear(4, 3), Linear(3, 3), Linear(3, 2))
+        m[1].weight.prunable = False
+        m.finalize(1)
+        with pytest.raises(ValueError, match=r"contiguous run.*'layers\.1\.bias'"):
+            DropBack(m, k=3, lr=0.2, include_nonprunable=False)
+        DropBack(m, k=3, lr=0.2)  # the default prunes everything: one run

@@ -35,16 +35,6 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-@pytest.fixture(autouse=True)
-def _reset_detach_guard():
-    # sanitize=True trainers install the process-global plane-detach hook;
-    # drop it so later tests see the default silent-rebind behavior.
-    from repro.analyze.sanitize import uninstall_detach_guard
-
-    yield
-    uninstall_detach_guard()
-
-
 def _toy_data(n=64, seed=0):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, 4)).astype(np.float32)

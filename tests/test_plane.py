@@ -1,9 +1,10 @@
 """Properties of the flat weight plane built by ``Module.finalize``.
 
 Every parameter's ``data`` must be a zero-copy view into the model's
-``weight_plane``; assignments write *through* the view (preserving the
-aliasing invariant) instead of detaching; and the invariant must survive
-optimizer steps and checkpoint save/load round trips without silent copies.
+``weight_plane``; assignments write *through* the view, and one that
+cannot broadcast raises instead of breaking the aliasing invariant; and
+the invariant must survive optimizer steps, plane re-homing and checkpoint
+save/load round trips without silent copies.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from repro.core import DropBack
 from repro.io import load_dense, load_sparse, save_dense, save_sparse
 from repro.models import mlp
 from repro.optim import SGD
+from repro.parallel import adopt_plane
 from repro.tensor import Tensor, cross_entropy
 
 
@@ -87,15 +89,15 @@ class TestWriteThrough:
         assert p.data is view
         assert not p.data.any()
 
-    def test_incompatible_shape_detaches(self):
+    def test_incompatible_shape_raises(self):
         m = _model()
         p = m.parameters()[0]
-        plane_before = m.weight_plane.copy()
-        p.data = np.zeros(p.size + 1, dtype=np.float32)
-        assert not p.plane_backed
-        assert not np.shares_memory(p.data, m.weight_plane)
-        # The failed broadcast must not have corrupted the plane.
-        np.testing.assert_array_equal(m.weight_plane, plane_before)
+        view = p.data
+        plane_before = m.weight_plane.tobytes()
+        with pytest.raises(ValueError, match=r"shape \(49,\).*base_index=0.*\(8, 6\)"):
+            p.data = np.ones(p.size + 1, dtype=np.float32)
+        assert p.data is view and p.plane_backed
+        assert m.weight_plane.tobytes() == plane_before
 
     def test_state_dict_does_not_alias_plane(self):
         m = _model()
@@ -136,16 +138,13 @@ class TestOptimizersPreserveAliasing:
         m = _model()
         assert SGD(m, lr=0.1).weight_plane is m.weight_plane
 
-    def test_dropback_falls_back_when_view_detached(self):
-        """Rebinding a parameter away from the plane must degrade to the
-        gather/scatter path, not corrupt other parameters."""
+    def test_dropback_follows_adopted_plane(self):
+        """The step slices ``model.weight_plane`` each call, so it writes
+        to the buffer the plane was moved to, with no ``rebind_plane``."""
         m1, m2 = _model(seed=5), _model(seed=5)
         o1, o2 = DropBack(m1, k=9, lr=0.3), DropBack(m2, k=9, lr=0.3)
-        # Detach every m2 parameter from its plane (values unchanged).
-        for p in m2.parameters():
-            arr = p.data.copy()
-            p._plane_backed = False
-            p._data = arr
+        moved = m2.weight_plane.copy()
+        adopt_plane(m2, moved)
         for s in range(4):
             _backward(m1, s)
             _backward(m2, s)
@@ -154,8 +153,9 @@ class TestOptimizersPreserveAliasing:
                 o2.freeze()
             o1.step()
             o2.step()
-        for pa, pb in zip(m1.parameters(), m2.parameters()):
-            np.testing.assert_array_equal(pa.data, pb.data)
+        assert m2.weight_plane is moved
+        np.testing.assert_array_equal(moved, m1.weight_plane)
+        _assert_plane_aliased(m2)
 
 
 class TestCheckpointRoundTrips:
@@ -184,32 +184,6 @@ class TestCheckpointRoundTrips:
         _assert_plane_aliased(m2)
         for (name, pa), (_, pb) in zip(m.named_parameters(), m2.named_parameters()):
             np.testing.assert_array_equal(pa.data, pb.data, err_msg=name)
-
-    def test_sparse_load_falls_back_when_detached(self, tmp_path):
-        m = _model()
-        opt = DropBack(m, k=9, lr=0.3)
-        _backward(m)
-        opt.step()
-        path = str(tmp_path / "sparse.npz")
-        save_sparse(m, opt, path)
-
-        m2 = mlp(6, (8,), 3)
-        m2.finalize(0)
-        # Detach one parameter post-finalize; load_sparse re-finalizes
-        # (restoring the plane), so patch finalize to re-detach after.
-        orig_finalize = m2.finalize
-
-        def finalize_and_detach(seed):
-            orig_finalize(seed)
-            p = m2.parameters()[0]
-            p._plane_backed = False
-            p._data = p.data.copy()
-            return m2
-
-        m2.finalize = finalize_and_detach
-        load_sparse(m2, path)
-        for pa, pb in zip(m.parameters(), m2.parameters()):
-            np.testing.assert_array_equal(pa.data, pb.data)
 
 
 class TestHistoryBounding:

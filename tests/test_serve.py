@@ -16,6 +16,7 @@ from repro.io import (
 )
 from repro.io.checkpoint import SparsePayload
 from repro.models import mnist_100_100
+from repro.nn import BatchNorm2d, Conv2d, Flatten, Linear, MaxPool2d, ReLU, Sequential
 from repro.optim import ConstantLR
 from repro.serve import (
     BatchPolicy,
@@ -27,7 +28,7 @@ from repro.serve import (
     run_load,
 )
 from repro.serve.loadgen import LoadResult
-from repro.tensor import Tensor, no_grad
+from repro.tensor import Tensor, cross_entropy, no_grad
 from repro.train import Trainer
 
 
@@ -110,6 +111,92 @@ class TestRegistry:
         registry.acquire(digest)
         assert registry.resident_bytes > 0
         assert registry.stats.materializations == 1
+
+
+def _bn_net() -> Sequential:
+    """A small conv net whose BatchNorm2d carries buffers into checkpoints."""
+    return Sequential(
+        Conv2d(1, 4, 3, padding=1), BatchNorm2d(4), ReLU(), MaxPool2d(2),
+        Flatten(), Linear(4 * 4 * 4, 3),
+    )
+
+
+class TestServedWeightsEqualTrainedWeights:
+    """The oracle is the trained model itself, not a second load path:
+    what the registry serves must be the network DropBack trained."""
+
+    @pytest.mark.parametrize("zero_untracked", [False, True])
+    def test_served_forward_equals_trained_eval_forward(self, tmp_path, zero_untracked):
+        rng = np.random.default_rng(0)
+        model = _bn_net().finalize(5)
+        opt = DropBack(model, k=60, lr=0.2, zero_untracked=zero_untracked)
+        for _ in range(4):
+            x = Tensor(rng.normal(size=(8, 1, 8, 8)).astype(np.float32))
+            model.zero_grad()
+            cross_entropy(model(x), rng.integers(0, 3, size=8)).backward()
+            opt.step()
+        path = str(tmp_path / "bn.npz")
+        save_sparse(model, opt, path)
+
+        x = rng.normal(size=(6, 1, 8, 8)).astype(np.float32)
+        model.eval()
+        with no_grad():
+            expected = model(Tensor(x)).numpy()
+        registry = ModelRegistry()
+        digest = registry.register("bn", _bn_net, path, packed=False)
+        assert read_sparse_payload(path).buffers  # BN statistics travel too
+        np.testing.assert_array_equal(registry.acquire(digest).forward(x), expected)
+
+
+class TestPayloadValidation:
+    """A malformed tracked set is refused when it is registered, before
+    any acquire could scatter it into a weight plane."""
+
+    @pytest.mark.parametrize(
+        "indices, values, packed, match",
+        [
+            ([-1, 4, 9], [0.1, 0.2, 0.3], False, "indices must be non-negative"),
+            ([4, 9, 7], [0.1, 0.2, 0.3], False, "indices must be strictly increasing"),
+            ([4, 4, 9], [0.1, 0.2, 0.3], False, "indices must be strictly increasing"),
+            ([10**8, 4], [0.1, 0.2], True, "indices must be strictly increasing"),
+            ([[1, 2], [3, 4]], [[0.1, 0.2], [0.3, 0.4]], False, "indices must be a 1-D"),
+            ([4, 9, 11], [0.1, 0.2], False, "values has shape"),
+        ],
+        ids=["negative", "unsorted", "duplicated", "packed-unsorted-out-of-range",
+             "not-1d", "length-mismatch"],
+    )
+    def test_register_rejects_malformed_checkpoint(
+        self, tmp_path, indices, values, packed, match
+    ):
+        path = str(tmp_path / "bad.npz")
+        np.savez(
+            path, __format__=np.int64(1), seed=np.int64(1), k=np.int64(len(values)),
+            zero_untracked=np.int64(int(packed)),  # packing needs zero_untracked
+            indices=np.array(indices, dtype=np.int64),
+            values=np.array(values, dtype=np.float32),
+        )
+        registry = ModelRegistry()
+        with pytest.raises(ValueError, match=f"SparsePayload.{match}"):
+            registry.register("bad", mnist_100_100, path, packed=packed)
+        assert len(registry) == 0
+
+    @pytest.mark.parametrize(
+        "indices, values, match",
+        [
+            (np.array([1, 2], dtype=np.int32), np.zeros(2, dtype=np.float32),
+             "indices must be a 1-D int64 array, got int32"),
+            (np.array([1, 2], dtype=np.int64), np.zeros(2, dtype=np.float64),
+             "values must be a float32 array, got float64"),
+        ],
+        ids=["indices-int32", "values-float64"],
+    )
+    def test_register_payload_rejects_wrong_dtype(self, indices, values, match):
+        registry = ModelRegistry()
+        with pytest.raises(ValueError, match=f"SparsePayload.{match}"):
+            registry.register_payload(
+                "bad", mnist_100_100, SparsePayload(seed=1, indices=indices, values=values)
+            )
+        assert len(registry) == 0
 
 
 class TestLRUEviction:

@@ -1,5 +1,7 @@
 """Tests for the autograd core: Tensor mechanics, tape, broadcasting."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,37 @@ class TestNoGrad:
             with no_grad():
                 assert not is_grad_enabled()
             assert not is_grad_enabled()
+
+    def test_overlapping_blocks_in_two_threads(self):
+        """Two serving workers run overlapping, not nested, no_grad blocks
+        (A enters, B enters, A leaves, B leaves); neither may switch
+        recording off for any other thread."""
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+        after = {}
+
+        def worker_a():
+            with no_grad():
+                a_in.set()
+                b_in.wait(timeout=10.0)
+            a_out.set()
+            after["a"] = is_grad_enabled()
+
+        def worker_b():
+            a_in.wait(timeout=10.0)
+            with no_grad():
+                b_in.set()
+                a_out.wait(timeout=10.0)
+            after["b"] = is_grad_enabled()
+
+        threads = [threading.Thread(target=worker_a), threading.Thread(target=worker_b)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10.0)
+        assert not any(t.is_alive() for t in threads)
+        assert after == {"a": True, "b": True}
+        assert is_grad_enabled()
+        assert (Tensor(np.ones(2), requires_grad=True) * 2.0).requires_grad
 
 
 class TestUnbroadcast:
