@@ -19,7 +19,9 @@ This module provides two layers of API:
 
 The stateless form hashes ``(seed, index)`` into a xorshift state using a
 SplitMix-style avalanche, then applies one xorshift32 round.  All arithmetic
-is vectorized uint32/uint64 numpy so whole layers regenerate in one call.
+is vectorized uint32/uint64 numpy so whole layers regenerate in one call;
+:func:`normal_at` works through fixed chunks with reused scratch, so
+regenerating a plane takes little memory beyond the plane itself.
 """
 
 from __future__ import annotations
@@ -38,7 +40,14 @@ __all__ = [
 
 _U32 = np.uint32
 _U64 = np.uint64
-_MASK32 = np.uint32(0xFFFFFFFF)
+_PHI = 0x9E3779B97F4A7C15  # 2**64 / golden ratio
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+#: Indices :func:`normal_at` regenerates per pass.  Its six scratch arrays
+#: (40 bytes per index, about 330 KB) are allocated once per call and
+#: reused, so each pass runs in cache and the call's memory beyond its
+#: output stays the same however large the plane.
+_CHUNK = 8192
 
 #: Integer / float operation counts for regenerating ONE normal value,
 #: as accounted in the paper (Section 2.1): "six 32-bit integer operations
@@ -138,20 +147,46 @@ def _splitmix64_next(state: int) -> tuple[int, int]:
     return next_state, z
 
 
-def _mix_seed_index(seed: int, indices: np.ndarray) -> np.ndarray:
-    """Hash (seed, index) pairs into well-distributed uint32 states.
+def _index_offset(seed: int, shift: int = 0) -> np.uint64:
+    """What the SplitMix mix adds to every index shifted by ``shift``:
+    ``(seed + 1) * PHI + shift`` mod 2**64."""
+    return _U64((int(seed) * _PHI + _PHI + shift) & _MASK64)
 
-    Vectorized SplitMix64-style avalanche over ``seed * PHI + index``.
-    Guarantees a non-zero result (zero is a xorshift fixed point).
+
+def _xorshift_into(
+    out: np.ndarray,
+    indices: np.ndarray,
+    offset: np.uint64,
+    z: np.ndarray,
+    t: np.ndarray,
+    y: np.ndarray,
+) -> np.ndarray:
+    """Stateless xorshift of ``indices + offset`` (mod 2**64), written to ``out``.
+
+    A SplitMix64-style avalanche hashes each uint64 ``indices + offset``
+    into a well-distributed uint32 state, never zero (zero is a xorshift
+    fixed point); one xorshift32 round follows.  ``out`` and ``y`` are
+    uint32 arrays of the indices' length and ``z``, ``t`` uint64 ones;
+    ``z`` may be ``indices`` itself.  Nothing is allocated.
     """
-    with np.errstate(over="ignore"):
-        z = indices.astype(_U64) + _U64((int(seed) * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF)
-        z = (z + _U64(0x9E3779B97F4A7C15)) & _U64(0xFFFFFFFFFFFFFFFF)
-        z = ((z ^ (z >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)) & _U64(0xFFFFFFFFFFFFFFFF)
-        z = ((z ^ (z >> _U64(27))) * _U64(0x94D049BB133111EB)) & _U64(0xFFFFFFFFFFFFFFFF)
-        z ^= z >> _U64(31)
-    out = (z & _U64(0xFFFFFFFF)).astype(_U32)
-    out[out == 0] = _U32(0x9E3779B9)
+    np.add(indices, offset, out=z)
+    np.right_shift(z, _U64(30), out=t)
+    z ^= t
+    z *= _U64(0xBF58476D1CE4E5B9)
+    np.right_shift(z, _U64(27), out=t)
+    z ^= t
+    z *= _U64(0x94D049BB133111EB)
+    np.right_shift(z, _U64(31), out=t)
+    z ^= t
+    np.copyto(out, z, casting="unsafe")  # the low 32 bits
+    if not out.all():
+        out[out == 0] = _U32(0x9E3779B9)
+    np.left_shift(out, _U32(13), out=y)
+    out ^= y
+    np.right_shift(out, _U32(17), out=y)
+    out ^= y
+    np.left_shift(out, _U32(5), out=y)
+    out ^= y
     return out
 
 
@@ -175,12 +210,10 @@ def xorshift_at(seed: int, indices: np.ndarray) -> np.ndarray:
     ``uint32`` array, same shape as ``indices``.
     """
     indices = np.asarray(indices)
-    x = _mix_seed_index(seed, indices)
-    with np.errstate(over="ignore"):
-        x ^= (x << _U32(13)) & _MASK32
-        x ^= x >> _U32(17)
-        x ^= (x << _U32(5)) & _MASK32
-    return x
+    z = indices.astype(_U64).reshape(-1)
+    out = np.empty(z.size, dtype=_U32)
+    _xorshift_into(out, z, _index_offset(seed), z, np.empty_like(z), np.empty_like(out))
+    return out.reshape(indices.shape)
 
 
 def uniform_at(seed: int, indices: np.ndarray) -> np.ndarray:
@@ -201,7 +234,9 @@ def normal_at(
     draws (index streams offset by a large constant), matching the paper's
     "postprocessed to fit a scaled normal distribution".  Deterministic:
     ``normal_at(s, i)`` never changes between calls, so untracked weights can
-    be regenerated exactly at every access.
+    be regenerated exactly at every access.  The work runs in chunks of
+    ``_CHUNK`` indices over reused scratch, so the call's memory beyond its
+    output is bounded; the result does not depend on the chunking.
 
     Parameters
     ----------
@@ -215,9 +250,35 @@ def normal_at(
         Output dtype (float32 by default, matching training precision).
     """
     indices = np.asarray(indices, dtype=np.int64)
-    u1 = uniform_at(seed, indices)
-    u2 = uniform_at(seed ^ 0x5DEECE66D, indices + np.int64(0x9E3779B9))
-    # Guard log(0): map u1 == 0 to the smallest representable positive step.
-    u1 = np.maximum(u1, 1.0 / 4294967296.0)
-    z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-    return (mean + std * z).astype(dtype)
+    flat = indices.reshape(-1).view(_U64)
+    out = np.empty(flat.size, dtype=dtype)
+    n = min(flat.size, _CHUNK)
+    z, t = np.empty(n, dtype=_U64), np.empty(n, dtype=_U64)
+    x, y = np.empty(n, dtype=_U32), np.empty(n, dtype=_U32)
+    r, a = np.empty(n), np.empty(n)
+    radius_offset = _index_offset(seed)
+    # The angle's stream: another seed, indices shifted by a large constant.
+    angle_offset = _index_offset(seed ^ 0x5DEECE66D, shift=0x9E3779B9)
+    # The steps round exactly as ``mean + std * (sqrt(-2 ln u1) * cos(2 pi u2))``
+    # does in float64; fusing or reordering them would change W(0)'s bits,
+    # and with them every checkpoint's untracked weights.
+    for lo in range(0, flat.size, _CHUNK):
+        idx = flat[lo:lo + _CHUNK]
+        if idx.size < n:  # the last, shorter chunk
+            z, t, x, y, r, a = (buf[: idx.size] for buf in (z, t, x, y, r, a))
+        _xorshift_into(x, idx, radius_offset, z, t, y)
+        np.multiply(x, 1.0 / 4294967296.0, out=r)  # u1, uniform on [0, 1)
+        # Guard log(0): map u1 == 0 to the smallest representable positive step.
+        np.maximum(r, 1.0 / 4294967296.0, out=r)
+        np.log(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        _xorshift_into(x, idx, angle_offset, z, t, y)
+        np.multiply(x, 1.0 / 4294967296.0, out=a)  # u2
+        a *= 2.0 * np.pi
+        np.cos(a, out=a)
+        r *= a
+        r *= std
+        r += mean
+        out[lo:lo + idx.size] = r
+    return out.reshape(indices.shape)

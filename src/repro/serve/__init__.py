@@ -5,10 +5,12 @@ The deployment half of the DropBack story.  A trained model is just
 turns that into a service:
 
 * :class:`~repro.serve.registry.ModelRegistry` — digest-keyed sparse
-  checkpoints, weight planes materialized on demand, LRU-evicted under a
-  byte budget; ``packed=True`` entries serve zero-untracked checkpoints
-  straight from CSR weight packs (:class:`~repro.serve.packed.PackedModel`)
-  without ever inflating a dense plane;
+  checkpoints, weight planes materialized on demand and evicted under a
+  byte budget (planes not acquired again since they were materialized
+  first, then least recently used); ``packed=True`` entries serve
+  zero-untracked checkpoints straight from CSR weight packs
+  (:class:`~repro.serve.packed.PackedModel`) without ever inflating a
+  dense plane;
 * :class:`~repro.serve.batcher.DynamicBatcher` — coalesces concurrent
   single-sample requests into batched forward passes
   (``max_batch_size`` / ``max_wait_ms`` policy) served by worker threads;

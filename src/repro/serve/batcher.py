@@ -19,8 +19,11 @@ wait never materializes (see ``docs/serving.md``).
 Requests are queued per model digest and answered through
 :class:`concurrent.futures.Future`, so N clients blocked on
 ``future.result()`` map onto ≤ ``ceil(N / max_batch_size)`` forward
-passes.  Worker threads do the forwards; all queue state is guarded by one
-condition variable (always via ``with`` — see lint rule RPA006).
+passes when their inputs share one shape.  A batch whose requests differ
+in shape runs one forward per shape, so a malformed request fails only
+the requests shaped like it.  Worker threads do the forwards; all queue
+state is guarded by one condition variable (always via ``with`` — see
+lint rule RPA006).
 """
 
 from __future__ import annotations
@@ -101,7 +104,6 @@ class DynamicBatcher:
         self._queues: dict[str, deque[_Request]] = {}
         self._threads: list[threading.Thread] = []
         self._running = False
-        self.batch_sizes: list[int] = []  # one entry per executed forward
         self.requests_submitted = 0
 
     # ------------------------------------------------------------------ #
@@ -203,19 +205,28 @@ class DynamicBatcher:
         return oldest
 
     def _execute(self, batch: list[_Request]) -> None:
+        # One forward per input shape: a request of the wrong shape then
+        # fails only the requests shaped like it, not every client it was
+        # coalesced with.
+        groups: dict[tuple[int, ...], list[_Request]] = {}
+        for r in batch:
+            groups.setdefault(r.x.shape, []).append(r)
+        for group in groups.values():
+            self._forward_group(group)
+
+    def _forward_group(self, group: list[_Request]) -> None:
         try:
-            xs = np.stack([r.x for r in batch])
-            out = np.asarray(self._forward(batch[0].digest, xs))
-            if out.shape[0] != len(batch):
+            xs = np.stack([r.x for r in group])
+            out = np.asarray(self._forward(group[0].digest, xs))
+            if out.shape[0] != len(group):
                 raise RuntimeError(
-                    f"forward returned {out.shape[0]} rows for a batch of {len(batch)}"
+                    f"forward returned {out.shape[0]} rows for a batch of {len(group)}"
                 )
         except BaseException as exc:  # route the failure to every waiting client
-            for r in batch:
+            for r in group:
                 if not r.future.cancelled():
                     r.future.set_exception(exc)
             return
-        self.batch_sizes.append(len(batch))
-        for i, r in enumerate(batch):
+        for i, r in enumerate(group):
             if not r.future.cancelled():
                 r.future.set_result(out[i].copy())

@@ -9,7 +9,7 @@ into CSR via :func:`repro.tensor.kernels.sparse.pack_from_indices`, and
 the forward runs one SpMM per layer through
 :func:`~repro.tensor.kernels.sparse.sparse_linear`.  Resident cost is the
 packed bytes (≈ ``2 x k`` scalars plus row pointers) instead of the dense
-plane — the registry counts exactly that against its LRU byte budget.
+plane — the registry counts exactly that against its byte budget.
 
 Scope (by design, with a dense fallback — never an error):
 

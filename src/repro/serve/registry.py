@@ -13,9 +13,11 @@ weight plane only when a request actually needs it:
   function ``load_sparse`` uses: finalize the architecture with the stored
   seed (regenerating every untracked weight) and scatter the k tracked
   values through the flat weight plane in one vectorized write;
-* materialized planes are **LRU-evicted under a byte budget**: evicting a
-  cold model drops only its plane (one contiguous buffer); the sparse
-  payload stays, so the next request rematerializes it bit-exactly;
+* materialized planes are **evicted under a byte budget**, planes not
+  acquired again since they were materialized first (see
+  :class:`ModelRegistry`).  Evicting a model drops only its plane (one
+  contiguous buffer); the sparse payload stays, so the next request
+  rematerializes it bit-exactly;
 * ``packed=True`` entries with a ``zero_untracked`` payload skip the
   dense plane entirely and serve through CSR weight packs
   (:mod:`repro.serve.packed`), so their resident cost is the packed bytes
@@ -129,7 +131,7 @@ class _Entry:
 
 
 class ModelRegistry:
-    """Digest-keyed registry of sparse checkpoints with LRU plane cache.
+    """Digest-keyed registry of sparse checkpoints with a plane cache.
 
     Parameters
     ----------
@@ -140,6 +142,13 @@ class ModelRegistry:
         ``packed=True`` entries).  Only servables are evictable; the one
         most recently acquired is never evicted, so a single model larger
         than the budget still serves.
+
+    Eviction is a segmented LRU whose protected part has no size of its
+    own: servables not acquired again since they were materialized go
+    first, least recent first, and only then the re-acquired ones, in LRU
+    order.  A burst of one-off requests for cold models therefore cycles
+    through the probationary part and leaves the models in steady use
+    resident.
     """
 
     def __init__(self, byte_budget: int | None = None):
@@ -151,9 +160,15 @@ class ModelRegistry:
         # in which case the lock-order watchdog (RPA010's runtime mirror)
         # observes every acquisition.
         self._lock = tracked_lock(threading.RLock(), "ModelRegistry._lock")
-        # Insertion order == recency order (oldest first); only entries
-        # with a resident plane participate in eviction.
-        self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
+        self._entries: dict[str, _Entry] = {}
+        # Resident entries, each segment in recency order (coldest first):
+        # materialized and not acquired since, then acquired again.
+        self._probation: "OrderedDict[str, _Entry]" = OrderedDict()
+        self._protected: "OrderedDict[str, _Entry]" = OrderedDict()
+        # Running sums of payload.nbytes over all entries and plane_bytes
+        # over resident ones, so acquire need not re-sum them.
+        self._pinned_bytes = 0
+        self._resident_bytes = 0
 
     # ------------------------------------------------------------------ #
     # registration
@@ -196,10 +211,11 @@ class ModelRegistry:
                 self._entries[digest] = _Entry(
                     digest=digest, name=name, factory=factory, payload=payload, packed=packed
                 )
+                self._pinned_bytes += payload.nbytes
         return digest
 
     # ------------------------------------------------------------------ #
-    # materialization + LRU
+    # materialization + eviction
     # ------------------------------------------------------------------ #
 
     def acquire(self, digest: str) -> ModelHandle:
@@ -215,10 +231,15 @@ class ModelRegistry:
                 # CSR structures themselves.
                 entry.plane_bytes = int(entry.model.nbytes if plane is None else plane.nbytes)
                 entry.materializations += 1
+                self._resident_bytes += entry.plane_bytes
+                self._probation[digest] = entry
                 self.stats.materializations += 1
             else:
                 self.stats.hits += 1
-            self._entries.move_to_end(digest)
+                if self._probation.pop(digest, None) is None:
+                    self._protected.move_to_end(digest)
+                else:
+                    self._protected[digest] = entry
             self._evict_over_budget(keep=digest)
             return ModelHandle(
                 digest=digest, name=entry.name, model=entry.model, lock=entry.forward_lock
@@ -249,9 +270,10 @@ class ModelRegistry:
         # registry full of "cheap" packed entries still respects the cap.
         if self.byte_budget is None:
             return
-        while self.pinned_bytes + self.resident_bytes > self.byte_budget:
+        while self._pinned_bytes + self._resident_bytes > self.byte_budget:
             victim = next(
-                (e for e in self._entries.values() if e.model is not None and e.digest != keep),
+                (e for segment in (self._probation, self._protected)
+                 for e in segment.values() if e.digest != keep),
                 None,
             )
             if victim is None:
@@ -259,6 +281,10 @@ class ModelRegistry:
             self._drop_plane(victim)
 
     def _drop_plane(self, entry: _Entry) -> None:
+        # caller holds self._lock
+        if self._probation.pop(entry.digest, None) is None:
+            del self._protected[entry.digest]
+        self._resident_bytes -= entry.plane_bytes
         entry.model = None
         entry.plane_bytes = 0
         self.stats.evictions += 1
@@ -288,7 +314,7 @@ class ModelRegistry:
         bench gates on).
         """
         with self._lock:
-            return sum(e.plane_bytes for e in self._entries.values())
+            return self._resident_bytes
 
     @property
     def pinned_bytes(self) -> int:
@@ -296,16 +322,19 @@ class ModelRegistry:
         quantized ``__qformat__`` checkpoints, which pin their dequantized
         values)."""
         with self._lock:
-            return sum(e.payload.nbytes for e in self._entries.values())
+            return self._pinned_bytes
 
     def digests(self) -> list[str]:
+        """Every registered digest, in registration order."""
         with self._lock:
             return list(self._entries)
 
     def resident_digests(self) -> list[str]:
-        """Digests with a materialized plane, LRU order (coldest first)."""
+        """Digests with a materialized servable, in eviction order (next
+        victim first): those not acquired again since they were
+        materialized, then the re-acquired ones, each least recent first."""
         with self._lock:
-            return [d for d, e in self._entries.items() if e.model is not None]
+            return [*self._probation, *self._protected]
 
     def describe(self, digest: str) -> dict:
         """One entry's metadata (for status endpoints and the CLI table)."""

@@ -2,11 +2,11 @@
 
 :class:`InferenceServer` is the serving front door.  Clients submit
 single-sample requests against a model digest; the dynamic batcher
-coalesces them, the registry materializes (or LRU-recalls) the model's
-weight plane, and one batched forward answers the whole batch.  Per-model
-forwards are serialized by the registry handle lock, so throughput scales
-with batch size rather than thread count — exactly the trade the flat
-weight plane was built for.
+coalesces them, the registry materializes the model's weight plane (or
+finds it still resident), and one batched forward answers the whole
+batch.  Per-model forwards are serialized by the registry handle lock, so
+throughput scales with batch size rather than thread count — exactly the
+trade the flat weight plane was built for.
 
 Typical use::
 
@@ -64,7 +64,7 @@ class InferenceServer:
     ----------
     registry:
         The model registry (owns checkpoints, materialization, and the
-        LRU plane budget).
+        plane budget with its eviction order).
     max_batch_size, max_wait_ms, workers:
         Batching policy — see :class:`~repro.serve.batcher.DynamicBatcher`.
     """

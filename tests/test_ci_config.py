@@ -194,6 +194,16 @@ class TestAnalyzeJobWiring:
         assert "repro train" in runs
         assert "--perf-out" in runs
 
+    def test_serving_tests_run_under_sanitizers(self, workflow):
+        # The lock-order watchdog and the per-materialization plane check
+        # then cover the registry's eviction path.
+        step = next(
+            s for s in workflow["jobs"]["analyze"]["steps"]
+            if "tests/test_serve.py" in s.get("run", "")
+        )
+        assert step.get("env") == {"REPRO_SANITIZE": "1"}
+        assert "pytest" in step["run"]
+
     def test_findings_uploaded_as_artifact(self, workflow):
         job = workflow["jobs"]["analyze"]
         uploads = [s for s in job["steps"] if "upload-artifact" in s.get("uses", "")]

@@ -1,10 +1,13 @@
-"""Tests for the serving layer: registry, LRU eviction, dynamic batching."""
+"""Tests for the serving layer: registry, eviction order, dynamic batching."""
 
 import math
+import sys
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import DropBack
 from repro.data import DataLoader
@@ -267,6 +270,137 @@ class TestLRUEviction:
             ModelRegistry(byte_budget=0)
 
 
+class TestEvictionOrder:
+    """Planes not acquired again since they were materialized go first, so
+    one-off requests for cold models cannot push out a model in steady use."""
+
+    def _plane_bytes(self) -> int:
+        return mnist_100_100().finalize(0).weight_plane.nbytes
+
+    def _registry(self, seeds, planes: int):
+        payloads = [_payload(s) for s in seeds]
+        registry = ModelRegistry(
+            byte_budget=planes * self._plane_bytes() + sum(p.nbytes for p in payloads)
+        )
+        digests = [registry.register_payload(f"m{p.seed}", mnist_100_100, p) for p in payloads]
+        return registry, digests
+
+    def test_never_reused_entry_goes_before_an_older_hit_entry(self):
+        registry, (d1, d2, d3) = self._registry((1, 2, 3), planes=2)
+        registry.acquire(d1)
+        registry.acquire(d1)  # hit: d1 is in steady use
+        registry.acquire(d2)  # materialized, never acquired again
+        registry.acquire(d3)  # over budget: d2 goes, although d1 is older
+        assert registry.resident_digests() == [d3, d1]
+        assert registry.stats.evictions == 1
+
+    def test_hot_model_stays_resident_while_cold_models_come_and_go(self):
+        registry, (hot, *cold) = self._registry(range(30, 37), planes=2)
+        registry.acquire(hot)
+        registry.acquire(hot)
+        for a, b in zip(cold[::2], cold[1::2]):
+            registry.acquire(a)  # two one-off requests between hot ones
+            registry.acquire(b)
+            registry.acquire(hot)
+        assert registry.describe(hot)["materializations"] == 1
+        assert hot in registry.resident_digests()
+
+
+def _tiny_net() -> Sequential:
+    return Sequential(Flatten(), Linear(6, 3))
+
+
+def _tiny_payload(seed: int, zero_untracked: bool) -> SparsePayload:
+    indices = np.arange(seed % 5, 21, 4, dtype=np.int64)  # 21 parameters
+    values = np.linspace(-1.0, 1.0, indices.size, dtype=np.float32)
+    return SparsePayload(
+        seed=seed, indices=indices, values=values, zero_untracked=zero_untracked
+    )
+
+
+_OPS = st.lists(
+    st.tuples(st.sampled_from(["register", "acquire", "evict"]), st.integers(0, 5)),
+    max_size=40,
+)
+
+
+class TestRegistryByteTotals:
+    """The running byte totals match the entries after every operation, and
+    every acquire leaves the budget held or only the acquired entry resident."""
+
+    @given(ops=_OPS, budget=st.one_of(st.none(), st.integers(1, 1_200)))
+    @settings(max_examples=60, deadline=None)
+    def test_totals_and_budget_hold_after_every_step(self, ops, budget):
+        payloads = [_tiny_payload(s, zero_untracked=s % 2 == 1) for s in range(6)]
+        registry = ModelRegistry(byte_budget=budget)
+        digests: dict[int, str] = {}
+        for op, i in ops:
+            if op == "register":
+                digests[i] = registry.register_payload(
+                    f"m{i}", _tiny_net, payloads[i], packed=i % 3 == 1
+                )
+            elif i in digests and op == "acquire":
+                registry.acquire(digests[i])
+                assert (
+                    budget is None
+                    or registry.pinned_bytes + registry.resident_bytes <= budget
+                    or registry.resident_digests() == [digests[i]]
+                )
+            elif i in digests:
+                registry.evict(digests[i])
+            entries = [registry.describe(d) for d in registry.digests()]
+            assert registry.pinned_bytes == sum(e["sparse_bytes"] for e in entries)
+            assert registry.resident_bytes == sum(e["plane_bytes"] for e in entries)
+            assert sorted(registry.resident_digests()) == sorted(
+                e["digest"] for e in entries if e["resident"]
+            )
+
+    def test_totals_hold_under_concurrent_acquire_and_evict(self):
+        # More threads than cores and a short switch interval, so a lost
+        # update to a running total or a segment would show.
+        payloads = [_tiny_payload(s, zero_untracked=False) for s in range(8)]
+        pinned = sum(p.nbytes for p in payloads)
+        plane = _tiny_net().finalize(0).weight_plane.nbytes
+        registry = ModelRegistry(byte_budget=pinned + 3 * plane)
+        digests = [
+            registry.register_payload(f"m{i}", _tiny_net, p) for i, p in enumerate(payloads)
+        ]
+        errors: list[Exception] = []
+
+        def work(seed: int) -> None:
+            rng = np.random.default_rng(seed)
+            try:
+                for _ in range(300):
+                    d = digests[int(rng.integers(len(digests)))]
+                    if rng.random() < 0.1:
+                        registry.evict(d)
+                    else:
+                        registry.acquire(d)
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        entries = [registry.describe(d) for d in digests]
+        resident = [e["digest"] for e in entries if e["resident"]]
+        assert registry.pinned_bytes == pinned
+        assert registry.resident_bytes == plane * len(resident)
+        assert sorted(registry.resident_digests()) == sorted(resident)
+        assert registry.pinned_bytes + registry.resident_bytes <= registry.byte_budget
+        stats = registry.stats
+        assert stats.materializations - stats.evictions == len(resident)
+
+
 class TestPackedServing:
     """packed=True entries: CSR serving, byte accounting, dense fallback."""
 
@@ -400,6 +534,22 @@ class TestDynamicBatcher:
             with pytest.raises(RuntimeError, match="rows"):
                 f.result(timeout=30.0)
         batcher.stop()
+
+    def test_wrong_shaped_request_fails_only_itself(self):
+        payload = _payload(12)
+        registry = ModelRegistry()
+        digest = registry.register_payload("m", mnist_100_100, payload)
+        server = InferenceServer(registry, max_batch_size=8, max_wait_ms=0.0)
+        xs = np.random.default_rng(3).normal(size=(3, 1, 28, 28)).astype(np.float32)
+        # All four are queued before the worker starts, so they coalesce
+        # into one batch.
+        good = [server.submit(digest, x) for x in xs]
+        bad = server.submit(digest, np.zeros(5, dtype=np.float32))
+        with server:
+            rows = [f.result(timeout=30.0) for f in good]
+            with pytest.raises(ValueError, match="784"):
+                bad.result(timeout=30.0)
+        np.testing.assert_array_equal(np.stack(rows), _dense_forward(payload, xs))
 
     def test_stop_fails_pending_requests(self):
         batcher = DynamicBatcher(lambda d, xs: xs, max_batch_size=8, max_wait_ms=1000.0)

@@ -1,5 +1,8 @@
 """Tests for the xorshift PRNG and stateless regeneration."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from repro.init.xorshift import (
     uniform_at,
     xorshift_at,
 )
+from repro.models import lenet_300_100, mnist_100_100, vgg_s
 
 
 class TestXorshift32:
@@ -157,6 +161,76 @@ class TestNormalAt:
         assert not np.array_equal(a, b)
         # regenerating block a later still matches
         np.testing.assert_array_equal(a, normal_at(9, np.arange(0, 1000)))
+
+
+def _sha256(a: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+class TestW0BitsArePinned:
+    """A checkpoint stores only a seed for its untracked weights, so W(0) must
+    come out bit-identical in every later build.  The digests were recorded
+    before regeneration was chunked.  Only float32 output is pinned: float64
+    output carries numpy's log, whose last bit differs between its SIMD and
+    libm code paths, and float32 rounding hides that difference."""
+
+    @pytest.mark.parametrize(
+        "seed, lo, hi, std, mean, digest",
+        [
+            (0, 0, 1_000, 1.0, 0.0,
+             "51b9c14636c5fb88d283d10edd7ce13255f1d9b11bad7bd38ab41329913bcd09"),
+            (1234, 0, 78_400, 1 / 28, 0.0,
+             "b628b02b15f8f9ab643a39a96b02b1e50f0ad0d217194bfe08904cc4ed3f4fc8"),
+            (2**32 + 7, 5_000, 25_000, 0.05, 0.5,
+             "873a702f491ed009d7166177bd4d3e13f04f740af011b1bac589341b4e81925a"),
+            (42, 89_609, 89_610, 1.0, 0.0,
+             "7fd8bb055ad208248999e61aebf24ce1af51dfa9432c15e1cb5e3354149ebef0"),
+            (2**40 + 3, 2**33, 2**33 + 9_000, 0.1, 0.0,
+             "57effaf208b41e062c09053efe2d8d3131b641ca21f53c6cb492a764154da8bf"),
+        ],
+    )
+    def test_normal_at(self, seed, lo, hi, std, mean, digest):
+        out = normal_at(seed, np.arange(lo, hi), std=std, mean=mean)
+        assert out.dtype == np.float32 and out.shape == (hi - lo,)
+        assert _sha256(out) == digest
+
+    def test_normal_at_keeps_the_index_shape(self):
+        out = normal_at(17, np.arange(600).reshape(20, 30), std=0.3)
+        assert out.shape == (20, 30)
+        assert _sha256(out) == "2bca2e5254eda24383ec95b358d7a05944e621369cc71b6f5d2de979612ce245"
+
+    @pytest.mark.parametrize(
+        "factory, seed, digest",
+        [
+            (mnist_100_100, 1,
+             "77cd4d212cd6970cb1c008e51b0c98acabdf5f69be5174f08883a51a567257e2"),
+            (mnist_100_100, 2**32 + 5,
+             "e3137f5bf0df36f6bdca5b75f2467b4ea930eebe612e99ad63b041bd4570a8aa"),
+            (lenet_300_100, 1,
+             "d646f4dee896e415cda74e8c92797c7e8d6df5bdcd4ef9d5c024dd5be1018f7c"),
+            (lenet_300_100, 2**32 + 5,
+             "ad5ae4b6d5daa0022dafef03689fa1908a728d0f46c06e8338491844cb0e4f2d"),
+            (lambda: vgg_s(width_mult=0.125), 1,
+             "850e596b7fda6ab7d917d2b9315de7b83b49cd46646f2ca15a56962f09a91f33"),
+            (lambda: vgg_s(width_mult=0.125), 2**32 + 5,
+             "5f6990168c28e8313f11c5abe204fc1f323f68bb726d61889a621d9e40601c3a"),
+        ],
+        ids=["mnist_100_100-1", "mnist_100_100-2**32+5", "lenet_300_100-1",
+             "lenet_300_100-2**32+5", "vgg_s_0.125-1", "vgg_s_0.125-2**32+5"],
+    )
+    def test_finalized_plane(self, factory, seed, digest):
+        assert _sha256(factory().finalize(seed).weight_plane) == digest
+
+
+def test_normal_at_memory_is_bounded_beyond_its_output():
+    indices = np.arange(1_000_000)
+    tracemalloc.start()
+    try:
+        out = normal_at(3, indices)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.nbytes + (1 << 20)
 
 
 def test_regen_cost_constants_match_paper():
