@@ -7,7 +7,7 @@ Two complementary halves:
   (``repro analyze`` on the CLI).  Pass 1 extracts per-function facts
   (:mod:`repro.analyze.facts`) and builds a whole-package call graph
   (:mod:`repro.analyze.callgraph`); pass 2 runs the per-file rules
-  RPA002-009 plus the interprocedural concurrency rules RPA010-013
+  RPA002-008 plus the interprocedural concurrency rules RPA010-013
   (lock-order cycles, unfenced arena writes, fork-tainted RNG,
   unguarded shared mutation) over that index.  Violations diff against
   a committed baseline so CI fails only on *new* ones.

@@ -1,9 +1,9 @@
-"""Repo-specific per-file lint rules (RPA002-RPA009).
+"""Repo-specific per-file lint rules (RPA002-RPA008).
 
 Each rule encodes one invariant the workspace-pool / deterministic-
 regeneration design depends on (RPA006 guards the serving
 layer's lock discipline, RPA007 the kernel-dispatch boundary, RPA008 the
-process/shared-memory boundary, RPA009 the sparse-format boundary).
+table of module boundaries: process/shared memory and sparse formats).
 These rules see one file at a time; the interprocedural concurrency
 rules RPA010-RPA013 live in :mod:`repro.analyze.concurrency` and run
 over the pass-1 package index instead.  See ``docs/static-analysis.md``
@@ -13,6 +13,7 @@ for the full catalog with rationale and the suppression syntax.
 from __future__ import annotations
 
 import ast
+from typing import NamedTuple
 
 from repro.analyze.engine import (
     Rule,
@@ -29,8 +30,8 @@ __all__ = [
     "MissingProfiledRule",
     "LockDisciplineRule",
     "DirectMatmulRule",
-    "MultiprocessingBoundaryRule",
-    "SparseFormatBoundaryRule",
+    "BoundaryRule",
+    "BOUNDARIES",
     "HOT_MODULES",
     "ALLOC_CALLS",
 ]
@@ -41,7 +42,6 @@ HOT_MODULES = (
     "tensor/functional.py",
     "tensor/kernels/reference.py",
     "tensor/kernels/fast.py",
-    "tensor/kernels/threaded.py",
     "core/selection.py",
 )
 
@@ -497,162 +497,100 @@ class DirectMatmulRule(Rule):
         return False
 
 
-@register_rule
-class MultiprocessingBoundaryRule(Rule):
-    """RPA008: direct ``multiprocessing`` primitives outside ``repro.parallel``.
+class Boundary(NamedTuple):
+    """One RPA008 fence: ``module`` is used only in files under ``home``.
 
-    Process forking and shared-memory segments have lifecycle obligations —
-    barrier teardown on crash, ``shm`` close/unlink ownership, resource-
-    tracker hygiene, ``os._exit`` discipline in forked children — that
-    ``repro.parallel`` centralizes (mirroring RPA006, which keeps lock
-    discipline inside ``repro.serve``).  A stray ``multiprocessing`` import
-    elsewhere either duplicates that machinery or leaks segments/zombies on
-    the failure paths the parallel package already handles.  Route process
-    parallelism through :class:`repro.parallel.ParallelTrainer` /
-    :class:`repro.parallel.SharedArena` instead.
-    """
-
-    code = "RPA008"
-    summary = "multiprocessing primitives belong in repro.parallel"
-    rationale = (
-        "Fork/shared-memory lifecycle (barrier aborts, shm unlink "
-        "ownership, child exit discipline) is centralized in "
-        "repro.parallel; ad-hoc multiprocessing use elsewhere leaks "
-        "segments or hangs on worker crashes."
-    )
-
-    #: The designated home for process/shared-memory lifecycle code.
-    allowed_dirs = ("parallel/",)
-
-    #: Bare process-spawn syscalls count too.
-    _FORK_CALLS = ("os.fork", "os.forkpty")
-
-    def _applies(self) -> bool:
-        return not any(d in self.src.relpath for d in self.allowed_dirs)
-
-    @staticmethod
-    def _is_mp(module: str | None) -> bool:
-        return module is not None and (
-            module == "multiprocessing" or module.startswith("multiprocessing.")
-        )
-
-    def visit_Import(self, node: ast.Import) -> None:
-        if self._applies():
-            for alias in node.names:
-                if self._is_mp(alias.name):
-                    self.report(
-                        node,
-                        f"`import {alias.name}` outside repro.parallel; use "
-                        "ParallelTrainer/SharedArena (RPA008)",
-                    )
-        self.generic_visit(node)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if self._applies() and self._is_mp(node.module):
-            names = ", ".join(alias.name for alias in node.names)
-            self.report(
-                node,
-                f"`from {node.module} import {names}` outside repro.parallel; "
-                "use ParallelTrainer/SharedArena (RPA008)",
-            )
-        self.generic_visit(node)
-
-    def visit_Call(self, node: ast.Call) -> None:
-        if self._applies():
-            name = dotted_name(node.func)
-            if name in self._FORK_CALLS:
-                self.report(
-                    node,
-                    f"`{name}()` outside repro.parallel; forked children need "
-                    "the parallel package's exit/cleanup discipline",
-                )
-        self.generic_visit(node)
-
-
-@register_rule
-class SparseFormatBoundaryRule(Rule):
-    """RPA009: sparse-format construction outside ``tensor/kernels/sparse*``.
-
-    The packed CSR representation has load-bearing invariants — index
-    arrays kept int32, value buffers shared by reference so dirty-flag
-    refresh works, pack keys tied to live plane views, the density-cutoff
-    fallback contract — that ``repro.tensor.kernels.sparse`` centralizes
-    (mirroring RPA007/RPA008's boundary rules).  A raw ``scipy.sparse``
-    import or ``csr_matrix(...)`` call in ``nn/``, ``core/``, or
-    ``serve/`` builds structures those invariants do not cover: values
-    copied instead of shared go stale after frozen updates, and ad-hoc
-    formats dodge the parity tests and the auto-dispatch cutoff.  Go
-    through the dispatch registry or the sparse module's public packing
-    API (``pack_from_indices`` / ``register_weight`` / ``sparse_linear``)
+    Importing the module or any submodule counts as using it, and so does
+    a call whose dotted name is, or ends in, one of ``calls`` (so
+    ``sp.csr_matrix`` matches ``csr_matrix``).  ``hint`` says what to use
     instead.
     """
 
-    code = "RPA009"
-    summary = "sparse-format construction belongs in tensor/kernels/sparse"
+    module: str
+    calls: tuple[str, ...]
+    home: str
+    hint: str
+
+
+#: The fences RPA008 enforces; a new fence is one row.
+BOUNDARIES = (
+    # Fork/shared-memory lifecycle: barrier aborts, shm unlink ownership,
+    # os._exit discipline in forked children.
+    Boundary(
+        module="multiprocessing",
+        calls=("os.fork", "os.forkpty"),
+        home="parallel/",
+        hint="use repro.parallel's ParallelTrainer/SharedArena",
+    ),
+    # Packed-format invariants: int32 indices, by-reference value buffers
+    # for dirty refresh, view-keyed registration, the density cutoff.
+    Boundary(
+        module="scipy.sparse",
+        calls=tuple(
+            f"{fmt}_{kind}"
+            for fmt in ("csr", "csc", "coo", "bsr", "lil", "dok", "dia")
+            for kind in ("matrix", "array")
+        ),
+        home="tensor/kernels/sparse",
+        hint="use the sparse backend's packing API "
+        "(pack_from_indices/register_weight)",
+    ),
+)
+
+
+def _in_module(name: str, module: str) -> bool:
+    return name == module or name.startswith(module + ".")
+
+
+@register_rule
+class BoundaryRule(Rule):
+    """RPA008: a fenced module used outside its home package.
+
+    Each row of :data:`BOUNDARIES` names a module whose obligations one
+    package centralizes: process lifecycle in ``repro.parallel``, packed
+    sparse formats in ``tensor/kernels/sparse*``.  Using the module
+    anywhere else either duplicates that machinery or breaks its
+    invariants on the paths it does not cover (leaked segments and
+    zombies on worker crashes; copied values that go stale after frozen
+    updates and skip the sparse parity/dispatch tests).
+    """
+
+    code = "RPA008"
+    summary = "multiprocessing and scipy.sparse stay in their home packages"
     rationale = (
-        "Packed-format invariants (int32 indices, by-reference value "
-        "buffers for dirty refresh, view-keyed registration, cutoff "
-        "fallback) live in repro.tensor.kernels.sparse; ad-hoc "
-        "scipy.sparse structures elsewhere silently break value refresh "
-        "and skip the sparse parity/dispatch tests."
+        "Process lifecycle is centralized in repro.parallel and packed "
+        "sparse formats in tensor/kernels/sparse; using either module "
+        "elsewhere leaks segments on worker crashes or builds structures "
+        "whose values go stale and skip the parity/dispatch tests."
     )
 
-    #: The designated home for sparse-format construction.
-    allowed_paths = ("tensor/kernels/sparse",)
+    def __init__(self, src) -> None:
+        super().__init__(src)
+        self._rows = [row for row in BOUNDARIES if row.home not in src.relpath]
 
-    #: scipy.sparse constructors that build a sparse-format object.
-    _SPARSE_CTORS = frozenset(
-        {
-            "csr_matrix", "csc_matrix", "coo_matrix", "bsr_matrix",
-            "lil_matrix", "dok_matrix", "dia_matrix",
-            "csr_array", "csc_array", "coo_array", "bsr_array",
-            "lil_array", "dok_array", "dia_array",
-        }
-    )
-
-    def _applies(self) -> bool:
-        return not any(p in self.src.relpath for p in self.allowed_paths)
-
-    @staticmethod
-    def _is_scipy_sparse(module: str | None) -> bool:
-        return module is not None and (
-            module == "scipy.sparse" or module.startswith("scipy.sparse.")
-        )
+    def _flag(self, node: ast.AST, used: str, row: Boundary) -> None:
+        self.report(node, f"`{used}` outside {row.home}; {row.hint}")
 
     def visit_Import(self, node: ast.Import) -> None:
-        if self._applies():
-            for alias in node.names:
-                if self._is_scipy_sparse(alias.name):
-                    self.report(
-                        node,
-                        f"`import {alias.name}` outside tensor/kernels/sparse; "
-                        "use the sparse backend's packing API (RPA009)",
-                    )
+        for alias in node.names:
+            for row in self._rows:
+                if _in_module(alias.name, row.module):
+                    self._flag(node, f"import {alias.name}", row)
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if self._applies():
-            imported_sparse = self._is_scipy_sparse(node.module) or (
-                node.module == "scipy" and any(a.name == "sparse" for a in node.names)
-            )
-            if imported_sparse:
-                names = ", ".join(alias.name for alias in node.names)
-                self.report(
-                    node,
-                    f"`from {node.module} import {names}` outside "
-                    "tensor/kernels/sparse; use the sparse backend's packing "
-                    "API (RPA009)",
-                )
+        if node.module is not None:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+            listed = ", ".join(alias.name for alias in node.names)
+            for row in self._rows:
+                if any(_in_module(name, row.module) for name in names):
+                    self._flag(node, f"from {node.module} import {listed}", row)
         self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call) -> None:
-        if self._applies():
-            name = dotted_name(node.func)
-            if name is not None and name.split(".")[-1] in self._SPARSE_CTORS:
-                self.report(
-                    node,
-                    f"`{name}(...)` builds a raw sparse format outside "
-                    "tensor/kernels/sparse; use pack_from_indices/"
-                    "register_weight so refresh and dispatch invariants hold",
-                )
+        name = dotted_name(node.func)
+        if name is not None:
+            for row in self._rows:
+                if any(name == c or name.endswith("." + c) for c in row.calls):
+                    self._flag(node, f"{name}()", row)
         self.generic_visit(node)

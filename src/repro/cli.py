@@ -14,7 +14,7 @@ Commands
     sorted hot-spot table (optionally writing the perf JSON).
 ``analyze``
     AST lint pass enforcing the plane/pool/determinism invariants
-    (per-file rules RPA002-009 plus the interprocedural concurrency
+    (per-file rules RPA002-008 plus the interprocedural concurrency
     rules RPA010-013), diffed against a committed baseline.
 ``kernels``
     Inspect the kernel-dispatch registry (backends per op, active
@@ -192,7 +192,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
             "seed": args.seed,
             "val_error": result.val_error,
             "backend": kernels.get_backend(),
-            "threads": kernels.thread_count(),
         },
     )
     print()
@@ -308,8 +307,7 @@ def cmd_kernels(args: argparse.Namespace) -> int:
             resolved, _ = kernels.resolve(op)
             rows.append([op, ", ".join(backends), overrides.get(op, "-"), resolved])
         print(format_table(["op", "backends", "override", "resolved"], rows))
-        print(f"\nactive backend: {active} (REPRO_BACKEND)  "
-              f"threads: {kernels.thread_count()} (REPRO_THREADS)")
+        print(f"\nactive backend: {active} (REPRO_BACKEND)")
         print(f"sparse density cutoff: {sparse.density_cutoff():g} "
               f"(REPRO_SPARSE_DENSITY_CUTOFF; above it the sparse backend "
               f"delegates to fast)")

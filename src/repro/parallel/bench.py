@@ -17,8 +17,7 @@ Absolute times are machine-dependent; CI diffs the committed baseline
 the ``parallel.step.1w`` anchor.  ``meta.cpu_count`` records the regime:
 on a single-CPU host the scaling efficiency is honestly ~0.5 (two workers
 time-slice one core), which is why the efficiency floor is applied only
-when ``nproc >= 2`` — the same conditional that gates the threaded-GEMM
-kernel meta.
+when ``nproc >= 2``.
 """
 
 from __future__ import annotations

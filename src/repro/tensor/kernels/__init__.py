@@ -5,16 +5,15 @@ Public API::
     from repro.tensor import kernels
 
     kernels.set_backend("reference")        # or REPRO_BACKEND=reference
-    with kernels.use_backend("threaded"):   # scoped selection
+    with kernels.use_backend("sparse"):     # scoped selection
         ...
     kernels.set_op_backend("matmul", "fast")  # pin one op
     backend, fn = kernels.resolve("conv2d_forward")
 
 Backends: ``reference`` (pre-dispatch numpy code verbatim; the parity
 oracle), ``fast`` (pooled workspaces, batch-flattened conv GEMM, fused
-batchnorm+relu — the default), ``threaded`` (panel-parallel GEMM sized by
-``REPRO_THREADS``), ``sparse`` (packed CSR weights for frozen/zeroed
-high-sparsity regimes, falling back to ``fast`` above
+batchnorm+relu — the default), ``sparse`` (packed CSR weights for
+frozen/zeroed high-sparsity regimes, falling back to ``fast`` above
 ``REPRO_SPARSE_DENSITY_CUTOFF``).  See ``docs/kernels.md`` and
 ``docs/sparse.md``.
 """
@@ -23,7 +22,6 @@ from repro.tensor.kernels import (  # noqa: F401 - registration
     fast,
     reference,
     sparse,
-    threaded,
 )
 from repro.tensor.kernels.registry import (
     DEFAULT_BACKEND,
@@ -37,7 +35,6 @@ from repro.tensor.kernels.registry import (
     resolve,
     set_backend,
     set_op_backend,
-    thread_count,
     use_backend,
 )
 
@@ -53,6 +50,5 @@ __all__ = [
     "resolve",
     "set_backend",
     "set_op_backend",
-    "thread_count",
     "use_backend",
 ]

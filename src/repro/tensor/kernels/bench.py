@@ -72,20 +72,12 @@ def _relu_case(rng: np.random.Generator):
     return (rng.standard_normal(_BN_SHAPE, dtype=np.float32),)
 
 
-def _im2col_case(rng: np.random.Generator):
-    hw = _CONV_HW + 2 * _CONV_PAD
-    oh = ow = hw - _CONV_K + 1
-    xp = rng.standard_normal((_CONV_N, _CONV_C, hw, hw), dtype=np.float32)
-    return (xp, _CONV_K, _CONV_K, 1, 1, oh, ow)
-
-
 #: op name -> argument factory.  Only ops listed here are benched.
 _CASES = {
     "matmul": _matmul_case,
     "conv2d_forward": _conv_case,
     "bn_relu_forward": _bn_relu_case,
     "relu_forward": _relu_case,
-    "im2col": _im2col_case,
 }
 
 #: meta name -> op whose reference/fast ratio it records (the CI gates).
@@ -93,14 +85,6 @@ _SPEEDUP_METAS = {
     "speedup_conv_gemm": "matmul",
     "speedup_conv_forward": "conv2d_forward",
     "speedup_bn_relu": "bn_relu_forward",
-}
-
-#: meta name -> op whose reference/threaded ratio it records.  Only gated
-#: on multi-core runners (see ci.yml): with one CPU the threaded split is
-#: pure overhead, so the meta is recorded for observability but a floor
-#: would be dishonest.  ``meta.cpu_count`` says which regime produced it.
-_THREADED_METAS = {
-    "speedup_threaded_gemm": "matmul",
 }
 
 
@@ -144,7 +128,6 @@ def bench_kernels(rounds: int = BENCH_ROUNDS, seed: int = 0) -> PerfReport:
         "seed": seed,
         "active_backend": registry.get_backend(),
         "op_overrides": registry.op_overrides(),
-        "threads": registry.thread_count(),
         "cpu_count": os.cpu_count() or 1,
         "sparse_density_cutoff": sparse.density_cutoff(),
         "shapes": {
@@ -157,11 +140,6 @@ def bench_kernels(rounds: int = BENCH_ROUNDS, seed: int = 0) -> PerfReport:
         fast = minima.get((op, "fast"))
         if ref and fast:
             meta[meta_name] = round(ref / fast, 4)
-    for meta_name, op in _THREADED_METAS.items():
-        ref = minima.get((op, registry.REFERENCE_BACKEND))
-        threaded = minima.get((op, "threaded"))
-        if ref and threaded:
-            meta[meta_name] = round(ref / threaded, 4)
     return PerfReport(name="kernels", ops=ops, meta=meta)
 
 

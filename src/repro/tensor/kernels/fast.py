@@ -105,28 +105,6 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------- #
-# im2col / col2im (pooled)
-# ---------------------------------------------------------------------- #
-
-
-@register_kernel("im2col", "fast")
-@profiled("kernels.im2col.fast")
-def im2col(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int, oh: int, ow: int) -> np.ndarray:
-    """Reference patch extraction into a pooled, persistent workspace."""
-    n, c = xp.shape[:2]
-    # zero=False: the loop below writes every element of the buffer.
-    cols = acquire_workspace((n, c, kh, kw, oh, ow), xp.dtype, zero=False)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw]
-    return cols.reshape(n, c * kh * kw, oh * ow)
-
-
-# col2im already scatter-adds into a pooled workspace in the reference
-# kernel; the fast backend falls back to it via the registry.
-
-
-# ---------------------------------------------------------------------- #
 # conv2d
 # ---------------------------------------------------------------------- #
 

@@ -43,7 +43,6 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------- #
 
 
-@register_kernel("im2col", REFERENCE_BACKEND)
 @profiled("kernels.im2col.reference")
 def im2col(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int, oh: int, ow: int) -> np.ndarray:
     """Extract conv patches: (N, C, H, W) -> (N, C*KH*KW, OH*OW)."""
@@ -57,7 +56,6 @@ def im2col(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int, oh: int, ow: int)
     return cols.reshape(n, c * kh * kw, oh * ow)
 
 
-@register_kernel("col2im", REFERENCE_BACKEND)
 @profiled("kernels.col2im.reference")
 def col2im(
     cols: np.ndarray,

@@ -1,17 +1,18 @@
 """Kernel dispatch registry: ``(op, backend)`` → implementation.
 
-Every heavy tensor op (matmul, im2col/col2im conv, batchnorm, relu,
-pooling) resolves its implementation here instead of calling numpy
-directly.  Backends register kernels with :func:`register_kernel`; call
-sites resolve with :func:`resolve` at op-construction time and close over
-the returned function, so a forward's backward always runs on the same
-backend even if the selection changes mid-step.
+Every heavy tensor op (matmul, conv, batchnorm, relu, pooling) resolves
+its implementation here instead of calling numpy directly.  Backends
+register kernels with :func:`register_kernel`; call sites resolve with
+:func:`resolve` at op-construction time and close over the returned
+function, so a forward's backward always runs on the same backend even if
+the selection changes mid-step.
 
 Selection precedence (highest first):
 
 1. per-op override (:func:`set_op_backend`, for benchmarking/bisection)
 2. the active backend (:func:`set_backend` / ``REPRO_BACKEND``)
-3. ``reference`` — every op is registered there, so resolution never fails
+3. the default backend (``fast``), for an op the selected backend lacks
+4. ``reference`` — every op is registered there, so resolution never fails
 
 The ``reference`` backend is the pre-dispatch numpy code verbatim and is
 the parity oracle for every other backend (see ``tests/test_kernels_parity``).
@@ -34,14 +35,14 @@ __all__ = [
     "list_backends",
     "op_overrides",
     "op_table",
-    "thread_count",
     "REFERENCE_BACKEND",
     "DEFAULT_BACKEND",
 ]
 
 REFERENCE_BACKEND = "reference"
-#: Used when ``REPRO_BACKEND`` is unset: the fast kernels are parity-tested
-#: against reference and strictly dominate it on the bench shapes.
+#: Used when ``REPRO_BACKEND`` is unset, and for any op the selected backend
+#: does not register: the fast kernels are parity-tested against reference
+#: and strictly dominate it on the bench shapes.
 DEFAULT_BACKEND = "fast"
 
 #: op name -> backend name -> kernel implementation.
@@ -123,18 +124,16 @@ def resolve(op: str, backend: str | None = None) -> tuple[str, Callable]:
 
     ``backend`` forces a specific backend (used so an op's backward runs on
     the backend its forward resolved to).  A backend without a registration
-    for ``op`` falls back to ``reference``; the returned name reflects the
-    kernel actually chosen.
+    for ``op`` falls back to ``fast``, then ``reference``; the returned name
+    reflects the kernel actually chosen.
     """
     table = _KERNELS.get(op)
     if table is None:
         raise KeyError(f"unknown op {op!r} (known: {', '.join(sorted(_KERNELS))})")
     name = backend or _OP_OVERRIDES.get(op) or get_backend()
-    fn = table.get(name)
-    if fn is None:
-        name = REFERENCE_BACKEND
-        fn = table[name]
-    return name, fn
+    if name not in table:
+        name = DEFAULT_BACKEND if DEFAULT_BACKEND in table else REFERENCE_BACKEND
+    return name, table[name]
 
 
 def list_ops() -> list[str]:
@@ -155,21 +154,3 @@ def op_table() -> dict[str, dict[str, Callable]]:
     """A copy of the full dispatch table (introspection/CLI)."""
     return {op: dict(table) for op, table in _KERNELS.items()}
 
-
-def thread_count() -> int:
-    """Worker threads for the ``threaded`` backend (``REPRO_THREADS``).
-
-    Defaults to the machine's CPU count; clamped to at least 1.  BLAS
-    releases the GIL, so threads help only when more than one core exists —
-    the threaded backend is registered regardless so its dispatch and
-    parity are exercised everywhere.
-    """
-    raw = os.environ.get("REPRO_THREADS", "").strip()
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError as exc:
-            raise ValueError(f"REPRO_THREADS must be an integer, got {raw!r}") from exc
-    else:
-        n = os.cpu_count() or 1
-    return max(1, n)

@@ -213,7 +213,6 @@ class ProfilerCallback(Callback):
             "epochs": len(self.epoch_trace),
             "epoch_trace": self.epoch_trace,
             "backend": kernels.get_backend(),
-            "threads": kernels.thread_count(),
             # Data-parallel rank count (ParallelTrainer); 1 for Trainer.
             "workers": int(getattr(trainer, "workers", 1)),
             **self.meta,

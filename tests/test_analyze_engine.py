@@ -266,7 +266,7 @@ class TestFindingsDocument:
         assert doc["violations"][0]["fingerprint"] == "RPA003:f:x = np.random.rand()"
         assert set(doc["rules"]) == {
             "RPA002", "RPA003", "RPA004", "RPA005", "RPA006", "RPA007",
-            "RPA008", "RPA009", "RPA010", "RPA011", "RPA012", "RPA013",
+            "RPA008", "RPA010", "RPA011", "RPA012", "RPA013",
         }
 
 

@@ -18,13 +18,12 @@ from repro.analyze.engine import SourceFile, Violation
 from repro.analyze.rules import (
     ALLOC_CALLS,
     HOT_MODULES,
+    BoundaryRule,
     DirectMatmulRule,
     HotPathAllocationRule,
     ImplicitFloat64Rule,
     LockDisciplineRule,
     MissingProfiledRule,
-    MultiprocessingBoundaryRule,
-    SparseFormatBoundaryRule,
     UnseededRandomRule,
 )
 
@@ -37,12 +36,12 @@ def lint(rule_cls, source: str, relpath: str = "src/repro/example.py") -> list[V
 
 
 class TestRegistry:
-    def test_all_twelve_rules_registered(self):
+    def test_all_eleven_rules_registered(self):
         import repro.analyze.concurrency  # noqa: F401 — registers RPA010-013
 
         assert set(RULE_REGISTRY) == {
             "RPA002", "RPA003", "RPA004", "RPA005", "RPA006",
-            "RPA007", "RPA008", "RPA009",
+            "RPA007", "RPA008",
             "RPA010", "RPA011", "RPA012", "RPA013",
         }
 
@@ -328,84 +327,85 @@ class TestDirectMatmulRule:
         assert lint(DirectMatmulRule, "s = text.dot(thing)\n", self.NN) == []
 
 
-class TestMultiprocessingBoundaryRule:
+class TestBoundaryRule:
     TRAIN = "src/repro/train/example.py"
     PARALLEL = "src/repro/parallel/example.py"
-
-    def test_flags_plain_import(self):
-        (hit,) = lint(MultiprocessingBoundaryRule, "import multiprocessing\n", self.TRAIN)
-        assert hit.code == "RPA008"
-        assert "repro.parallel" in hit.message
-
-    def test_flags_submodule_import(self):
-        src = "import multiprocessing.shared_memory\n"
-        assert len(lint(MultiprocessingBoundaryRule, src, self.TRAIN)) == 1
-
-    def test_flags_from_import(self):
-        src = "from multiprocessing import shared_memory, Barrier\n"
-        (hit,) = lint(MultiprocessingBoundaryRule, src, self.TRAIN)
-        assert "shared_memory" in hit.message
-
-    def test_flags_os_fork_call(self):
-        (hit,) = lint(MultiprocessingBoundaryRule, "pid = os.fork()\n", self.TRAIN)
-        assert "os.fork" in hit.message
-
-    def test_parallel_package_exempt(self):
-        src = "from multiprocessing import shared_memory\npid = os.fork()\n"
-        assert lint(MultiprocessingBoundaryRule, src, self.PARALLEL) == []
-
-    def test_unrelated_imports_not_flagged(self):
-        src = "import threading\nfrom queue import Queue\nos.getpid()\n"
-        assert lint(MultiprocessingBoundaryRule, src, self.TRAIN) == []
-
-    def test_noqa_suppression(self):
-        src = "import multiprocessing  # repro: noqa[RPA008] doc example\n"
-        assert lint(MultiprocessingBoundaryRule, src, self.TRAIN) == []
-
-
-class TestSparseFormatBoundaryRule:
     SERVE = "src/repro/serve/example.py"
     CORE = "src/repro/core/example.py"
     SPARSE = "src/repro/tensor/kernels/sparse.py"
     SPARSE_SIBLING = "src/repro/tensor/kernels/sparse_block.py"
 
+    # multiprocessing belongs in repro.parallel
+
+    def test_flags_plain_import(self):
+        (hit,) = lint(BoundaryRule, "import multiprocessing\n", self.TRAIN)
+        assert hit.code == "RPA008"
+        assert "repro.parallel" in hit.message
+
+    def test_flags_submodule_import(self):
+        src = "import multiprocessing.shared_memory\n"
+        assert len(lint(BoundaryRule, src, self.TRAIN)) == 1
+
+    def test_flags_from_import(self):
+        src = "from multiprocessing import shared_memory, Barrier\n"
+        (hit,) = lint(BoundaryRule, src, self.TRAIN)
+        assert "shared_memory" in hit.message
+
+    def test_flags_os_fork_call(self):
+        (hit,) = lint(BoundaryRule, "pid = os.fork()\n", self.TRAIN)
+        assert "os.fork" in hit.message
+
+    def test_parallel_package_exempt(self):
+        src = "from multiprocessing import shared_memory\npid = os.fork()\n"
+        assert lint(BoundaryRule, src, self.PARALLEL) == []
+
+    def test_unrelated_imports_not_flagged(self):
+        src = "import threading\nfrom queue import Queue\nos.getpid()\n"
+        assert lint(BoundaryRule, src, self.TRAIN) == []
+
+    def test_noqa_suppression(self):
+        src = "import multiprocessing  # repro: noqa[RPA008] doc example\n"
+        assert lint(BoundaryRule, src, self.TRAIN) == []
+
+    # scipy.sparse belongs in tensor/kernels/sparse
+
     def test_flags_scipy_sparse_import(self):
-        (hit,) = lint(SparseFormatBoundaryRule, "import scipy.sparse\n", self.SERVE)
-        assert hit.code == "RPA009"
+        (hit,) = lint(BoundaryRule, "import scipy.sparse\n", self.SERVE)
+        assert hit.code == "RPA008"
         assert "tensor/kernels/sparse" in hit.message
 
     def test_flags_from_scipy_import_sparse(self):
         src = "from scipy import sparse\n"
-        assert len(lint(SparseFormatBoundaryRule, src, self.CORE)) == 1
+        assert len(lint(BoundaryRule, src, self.CORE)) == 1
 
     def test_flags_from_scipy_sparse_import(self):
         src = "from scipy.sparse import csr_matrix\n"
-        (hit,) = lint(SparseFormatBoundaryRule, src, self.SERVE)
+        (hit,) = lint(BoundaryRule, src, self.SERVE)
         assert "csr_matrix" in hit.message
 
     def test_flags_constructor_call(self):
-        (hit,) = lint(SparseFormatBoundaryRule, "m = sp.csr_matrix(w)\n", self.CORE)
+        (hit,) = lint(BoundaryRule, "m = sp.csr_matrix(w)\n", self.CORE)
         assert "pack_from_indices" in hit.message
 
     def test_flags_all_format_constructors(self):
         for ctor in ("csc_matrix", "coo_matrix", "bsr_matrix", "csr_array"):
             src = f"m = sp.{ctor}(w)\n"
-            assert len(lint(SparseFormatBoundaryRule, src, self.SERVE)) == 1, ctor
+            assert len(lint(BoundaryRule, src, self.SERVE)) == 1, ctor
 
     def test_sparse_module_exempt(self):
         src = "import scipy.sparse as _sp\nm = _sp.csr_matrix((d, i, p))\n"
-        assert lint(SparseFormatBoundaryRule, src, self.SPARSE) == []
+        assert lint(BoundaryRule, src, self.SPARSE) == []
         # future block-CSR siblings stay in scope of the exemption
-        assert lint(SparseFormatBoundaryRule, src, self.SPARSE_SIBLING) == []
+        assert lint(BoundaryRule, src, self.SPARSE_SIBLING) == []
 
     def test_packing_api_calls_not_flagged(self):
         src = "pack = sparse.pack_from_indices(shape, idx, vals)\n"
-        assert lint(SparseFormatBoundaryRule, src, self.SERVE) == []
+        assert lint(BoundaryRule, src, self.SERVE) == []
 
     def test_unrelated_scipy_not_flagged(self):
         src = "from scipy import linalg\nimport scipy.stats\n"
-        assert lint(SparseFormatBoundaryRule, src, self.CORE) == []
+        assert lint(BoundaryRule, src, self.CORE) == []
 
-    def test_noqa_suppression(self):
-        src = "import scipy.sparse  # repro: noqa[RPA009] doc example\n"
-        assert lint(SparseFormatBoundaryRule, src, self.SERVE) == []
+    def test_sparse_noqa_suppression(self):
+        src = "import scipy.sparse  # repro: noqa[RPA008] doc example\n"
+        assert lint(BoundaryRule, src, self.SERVE) == []

@@ -313,10 +313,11 @@ class TestKernelGateWiring:
         assert "--gate-meta speedup_bn_relu:1.2" in runs
         assert "--gate-meta speedup_conv_forward:1.0" in runs
 
-    def test_tests_job_runs_parity_suite_on_reference_backend(self, workflow):
+    @pytest.mark.parametrize("backend", ["reference", "sparse"])
+    def test_tests_job_runs_parity_suite_on_reference_backend(self, workflow, backend):
         job = workflow["jobs"]["tests"]
         env = [s.get("env", {}) for s in job["steps"]]
-        assert {"REPRO_BACKEND": "reference"} in env
+        assert {"REPRO_BACKEND": backend} in env
         runs = " ".join(s.get("run", "") for s in job["steps"])
         assert "test_kernels_parity.py" in runs
 
@@ -337,30 +338,6 @@ class TestKernelGateWiring:
         assert report.meta["speedup_conv_gemm"] >= 1.1
         assert report.meta["speedup_bn_relu"] >= 1.2
         assert report.meta["speedup_conv_forward"] >= 1.0
-
-    def test_threaded_gate_is_conditional_on_core_count(self, workflow):
-        # The threaded-GEMM floor is only honest with >= 2 CPUs: on a
-        # single core the thread split is pure overhead.  The gate step
-        # must run the bench with REPRO_THREADS and skip below 2 cores.
-        steps = workflow["jobs"]["bench-smoke"]["steps"]
-        run = next(
-            s["run"] for s in steps
-            if "speedup_threaded_gemm" in s.get("run", "")
-        )
-        assert "nproc" in run
-        assert "REPRO_THREADS" in run
-        assert "--gate-meta speedup_threaded_gemm:1.05" in run
-        assert "skip" in run  # the below-2-cores branch says so
-
-    def test_committed_kernel_baseline_records_threaded_meta(self):
-        report = PerfReport.load(
-            REPO_ROOT / "benchmarks" / "results" / "perf_kernels.json"
-        )
-        # Recorded for observability on every host; only *gated* on
-        # multi-core runners, so no floor assertion here.
-        assert "speedup_threaded_gemm" in report.meta
-        assert report.meta["cpu_count"] >= 1
-        assert "kernels.matmul.threaded" in report.ops
 
 
 class TestParallelGateWiring:

@@ -2,7 +2,7 @@
 
 The ``reference`` backend is the pre-dispatch numpy code verbatim, so any
 other backend must reproduce it — bit-exactly for pure gather/scatter and
-elementwise ops (im2col, relu masks, pooling argmax), and within float32
+elementwise ops (relu masks, pooling argmax), and within float32
 round-off for ops whose fast path reassociates a GEMM or a normalization.
 Backwards are checked through the matching kernel pair (a fast forward's
 ctx feeds the fast backward), exactly as the tape wires them.
@@ -74,32 +74,6 @@ class TestMatmulParity:
         a = RNG.standard_normal((300, 20)).astype(np.float32)
         b = RNG.standard_normal((20, 4)).astype(np.float64)
         np.testing.assert_allclose(fn(a, b), a @ b)
-
-    def test_threaded_split_paths_with_forced_workers(self, monkeypatch):
-        monkeypatch.setenv("REPRO_THREADS", "3")
-        ref, fn = _pair("matmul", "threaded")
-        a2 = RNG.standard_normal((600, 32)).astype(np.float32)   # row split
-        b2 = RNG.standard_normal((32, 16)).astype(np.float32)
-        np.testing.assert_allclose(fn(a2, b2), ref(a2, b2), rtol=GEMM_RTOL, atol=GEMM_ATOL)
-        a3 = RNG.standard_normal((8, 12, 10)).astype(np.float32)  # batch split
-        b3 = RNG.standard_normal((8, 10, 6)).astype(np.float32)
-        np.testing.assert_allclose(fn(a3, b3), ref(a3, b3), rtol=GEMM_RTOL, atol=GEMM_ATOL)
-
-
-# --------------------------------------------------------------------- #
-# im2col (bit-exact gather: fixed iteration order on both backends)
-# --------------------------------------------------------------------- #
-
-
-class TestIm2colParity:
-    @pytest.mark.parametrize("stride", [1, 2])
-    def test_bit_exact(self, stride):
-        ref, fn = _pair("im2col", "fast")
-        xp = RNG.standard_normal((3, 4, 9, 9)).astype(np.float32)
-        oh = ow = (9 - 3) // stride + 1
-        np.testing.assert_array_equal(
-            fn(xp, 3, 3, stride, stride, oh, ow), ref(xp, 3, 3, stride, stride, oh, ow)
-        )
 
 
 # --------------------------------------------------------------------- #

@@ -68,12 +68,25 @@ class TestSelection:
         assert name == "reference"
 
     def test_missing_registration_falls_back_to_reference(self):
-        # col2im is only registered on reference; resolving it under fast
-        # must return the reference kernel, with the name reflecting that.
+        # max_pool2d_backward is only registered on reference; resolving it
+        # under fast must return the reference kernel, with the name
+        # reflecting that.
         kernels.set_backend("fast")
-        name, fn = kernels.resolve("col2im")
+        name, fn = kernels.resolve("max_pool2d_backward")
         assert name == "reference"
-        assert fn is registry._KERNELS["col2im"]["reference"]
+        assert fn is registry._KERNELS["max_pool2d_backward"]["reference"]
+
+    def test_missing_registration_falls_back_through_default(self):
+        # An op the sparse backend lacks runs on fast when fast has it, and
+        # only then on reference.
+        table = kernels.op_table()
+        with kernels.use_backend("sparse"):
+            for op in kernels.list_ops():
+                expected = next(
+                    b for b in ("sparse", "fast", "reference") if b in table[op]
+                )
+                name, fn = kernels.resolve(op)
+                assert (name, fn) == (expected, table[op][expected]), op
 
 
 class TestErrors:
@@ -115,19 +128,6 @@ class TestEnvironment:
         finally:
             registry._ACTIVE[0] = None
 
-    def test_thread_count_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_THREADS", "3")
-        assert kernels.thread_count() == 3
-
-    def test_thread_count_clamped_to_one(self, monkeypatch):
-        monkeypatch.setenv("REPRO_THREADS", "0")
-        assert kernels.thread_count() == 1
-
-    def test_thread_count_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("REPRO_THREADS", "many")
-        with pytest.raises(ValueError, match="REPRO_THREADS"):
-            kernels.thread_count()
-
 
 class TestIntrospection:
     def test_every_op_has_a_reference_kernel(self):
@@ -143,7 +143,7 @@ class TestIntrospection:
     def test_expected_op_catalog(self):
         ops = set(kernels.list_ops())
         assert {
-            "matmul", "im2col", "col2im",
+            "matmul",
             "conv2d_forward", "conv2d_backward",
             "relu_forward", "relu_backward",
             "batch_norm_forward", "batch_norm_backward",
