@@ -9,8 +9,8 @@ Two complementary halves:
   (:mod:`repro.analyze.callgraph`); pass 2 runs the per-file rules
   RPA002-008 plus the interprocedural concurrency rules RPA010-013
   (lock-order cycles, unfenced arena writes, fork-tainted RNG,
-  unguarded shared mutation) over that index.  Violations diff against
-  a committed baseline so CI fails only on *new* ones.
+  unguarded shared mutation) over that index.  Any finding fails the
+  lint; accepted exceptions are inline suppressions with a reason.
 * :mod:`repro.analyze.sanitize` — runtime sanitizers (plane-integrity
   checker, workspace-pool poisoner, NaN/inf gradient tripwire, lock-order
   watchdog, arena write-fence) switched on via ``REPRO_SANITIZE=1`` or
@@ -20,18 +20,12 @@ See ``docs/static-analysis.md`` for the rule catalog and workflows.
 """
 
 from repro.analyze.engine import (
-    DEFAULT_BASELINE_NAME,
-    Baseline,
     LintEngine,
     ProjectRule,
     RULE_REGISTRY,
     Violation,
-    diff_baseline,
-    explain_drift,
     findings_to_dict,
     format_github,
-    load_baseline,
-    write_baseline,
 )
 from repro.analyze import rules  # noqa: F401 - imported to populate RULE_REGISTRY
 from repro.analyze import concurrency  # noqa: F401 - populates RPA010-013
@@ -53,14 +47,8 @@ from repro.analyze.sanitize import (
 __all__ = [
     "LintEngine",
     "Violation",
-    "Baseline",
     "ProjectRule",
     "RULE_REGISTRY",
-    "DEFAULT_BASELINE_NAME",
-    "load_baseline",
-    "write_baseline",
-    "diff_baseline",
-    "explain_drift",
     "findings_to_dict",
     "format_github",
     "rules",

@@ -17,18 +17,13 @@ source file and links the per-module results into a
   held on entry to each method, from the locks held at every resolvable
   call site (:meth:`propagated_held`).
 
-The index serializes to JSON keyed on per-file content hashes, so CI can
-cache pass 1 across runs (``repro analyze --index-cache``): files whose
-hash is unchanged reuse their cached :class:`ModuleFacts` without
-re-walking the AST.
+``repro analyze --graph`` dumps the index as JSON
+(:meth:`PackageIndex.to_graph_dict`).
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
-from pathlib import Path
 
 from repro.analyze.facts import (
     ClassFacts,
@@ -39,11 +34,8 @@ from repro.analyze.facts import (
 
 __all__ = ["PackageIndex", "build_index", "INDEX_SCHEMA_VERSION"]
 
+#: Version of the ``--graph`` JSON layout.
 INDEX_SCHEMA_VERSION = 1
-
-
-def _source_hash(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 class PackageIndex:
@@ -333,7 +325,7 @@ class PackageIndex:
         return held_in
 
     # ------------------------------------------------------------------ #
-    # serialization (CI cache + --graph dump)
+    # --graph dump
     # ------------------------------------------------------------------ #
 
     def to_graph_dict(self) -> dict:
@@ -353,47 +345,9 @@ class PackageIndex:
         }
 
 
-def build_index(
-    sources: dict[str, tuple[ast.AST, str]],
-    cache_path: Path | str | None = None,
-) -> PackageIndex:
-    """Build (or incrementally load) the package index.
-
-    Parameters
-    ----------
-    sources:
-        ``relpath -> (parsed AST, source text)`` for every file in scope.
-    cache_path:
-        Optional JSON cache.  Entries whose source hash matches are reused
-        without re-extracting facts; the file is rewritten afterwards so
-        the cache converges on the current tree.
-    """
-    cached_entries: dict[str, dict] = {}
-    if cache_path is not None:
-        cache_path = Path(cache_path)
-        if cache_path.is_file():
-            try:
-                doc = json.loads(cache_path.read_text())
-                if doc.get("schema_version") == INDEX_SCHEMA_VERSION:
-                    cached_entries = doc.get("files", {})
-            except (ValueError, OSError):
-                cached_entries = {}
-
-    modules: dict[str, ModuleFacts] = {}
-    out_entries: dict[str, dict] = {}
-    for relpath, (tree, text) in sources.items():
-        digest = _source_hash(text)
-        entry = cached_entries.get(relpath)
-        if entry is not None and entry.get("hash") == digest:
-            modules[relpath] = ModuleFacts.from_dict(entry["facts"])
-        else:
-            modules[relpath] = collect_module_facts(tree, relpath)
-        out_entries[relpath] = {"hash": digest, "facts": modules[relpath].to_dict()}
-
-    if cache_path is not None:
-        doc = {"schema_version": INDEX_SCHEMA_VERSION, "files": out_entries}
-        try:
-            cache_path.write_text(json.dumps(doc) + "\n")
-        except OSError:  # read-only checkout: the cache is best-effort
-            pass
-    return PackageIndex(modules)
+def build_index(trees: dict[str, ast.AST]) -> PackageIndex:
+    """Build the package index from ``relpath -> parsed AST`` for every
+    file in scope."""
+    return PackageIndex(
+        {relpath: collect_module_facts(tree, relpath) for relpath, tree in trees.items()}
+    )

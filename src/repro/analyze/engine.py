@@ -24,12 +24,9 @@ The engine runs in two passes:
   queries the index (call graph, reachability, lock/barrier fixpoints)
   and reports findings anywhere in the package.  The concurrency rules
   RPA010-013 live in :mod:`repro.analyze.concurrency`.
-* Baseline — a committed JSON file of *accepted* violation fingerprints.
-  Fingerprints are ``code:scope:normalized-snippet`` (line-number and
-  path free, so they survive unrelated edits *and* file renames); the
-  engine fails only on violations beyond the baselined count for their
-  fingerprint.  :func:`explain_drift` pairs vanished and new
-  fingerprints when they do churn.
+
+Every finding fails the lint.  An accepted exception is an inline
+suppression that gives its reason, next to the code it excuses.
 
 Suppression syntax::
 
@@ -43,10 +40,8 @@ Anything after the closing bracket is a free-form justification.
 from __future__ import annotations
 
 import ast
-import json
 import re
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -58,20 +53,9 @@ __all__ = [
     "LintEngine",
     "RULE_REGISTRY",
     "register_rule",
-    "load_baseline",
-    "write_baseline",
-    "diff_baseline",
-    "explain_drift",
     "findings_to_dict",
     "format_github",
-    "BASELINE_SCHEMA_VERSION",
-    "DEFAULT_BASELINE_NAME",
 ]
-
-# v2: fingerprints changed from `code:path:scope` to `code:scope:snippet`
-# (move-resilient).  Regenerate v1 baselines with `--update-baseline`.
-BASELINE_SCHEMA_VERSION = 2
-DEFAULT_BASELINE_NAME = "analyze_baseline.json"
 
 _NOQA_RE = re.compile(r"#\s*repro:\s*noqa(?:\[(?P<codes>[A-Z0-9,\s]+)\])?", re.IGNORECASE)
 
@@ -101,14 +85,6 @@ class Violation:
     col: int
     message: str
     scope: str  # dotted enclosing def/class chain, or "<module>"
-    snippet: str = ""  # whitespace-normalized source line at `line`
-
-    @property
-    def fingerprint(self) -> str:
-        """Line-number- and path-free identity used by the baseline:
-        ``code:scope:snippet``.  Stable across unrelated edits *and* file
-        renames; the path survives in the record as a drift tiebreaker."""
-        return f"{self.code}:{self.scope}:{self.snippet}"
 
     def format(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
@@ -121,8 +97,6 @@ class Violation:
             "col": self.col,
             "message": self.message,
             "scope": self.scope,
-            "snippet": self.snippet,
-            "fingerprint": self.fingerprint,
         }
 
 
@@ -144,14 +118,12 @@ class SourceFile:
     def __init__(self, path: Path, relpath: str, text: str):
         self.path = path
         self.relpath = relpath
-        self.text = text
         self.tree = ast.parse(text, filename=str(path))
-        self.lines = text.splitlines()
         # line -> set of suppressed codes; empty set means "all codes".
         # A noqa on a comment-only line applies to the next code line, so
         # justifications too long for an inline comment can sit above.
         self.suppressions: dict[int, set[str]] = {}
-        lines = self.lines
+        lines = text.splitlines()
         for lineno, line in enumerate(lines, start=1):
             m = _NOQA_RE.search(line)
             if not m:
@@ -223,12 +195,6 @@ class SourceFile:
             return False
         return not codes or code in codes
 
-    def snippet(self, line: int) -> str:
-        """Whitespace-normalized source at ``line`` (fingerprint component)."""
-        if 1 <= line <= len(self.lines):
-            return " ".join(self.lines[line - 1].split())[:160]
-        return ""
-
 
 class Rule(ast.NodeVisitor):
     """Base class for lint rules.
@@ -288,7 +254,6 @@ class Rule(ast.NodeVisitor):
                 col=getattr(node, "col_offset", 0),
                 message=message,
                 scope=self.scope,
-                snippet=self.src.snippet(line),
             )
         )
 
@@ -302,8 +267,8 @@ class ProjectRule:
 
     Instantiated once per lint run with the whole-package
     :class:`~repro.analyze.callgraph.PackageIndex` (whose ``sources``
-    attribute maps relpath -> :class:`SourceFile` for suppression and
-    snippet lookups).  Subclasses override :meth:`check` and call
+    attribute maps relpath -> :class:`SourceFile` for suppression
+    lookups).  Subclasses override :meth:`check` and call
     :meth:`report` with explicit locations.
     """
 
@@ -327,7 +292,6 @@ class ProjectRule:
                 col=col,
                 message=message,
                 scope=scope,
-                snippet=src.snippet(line) if src is not None else "",
             )
         )
 
@@ -381,19 +345,14 @@ class LintEngine:
     select:
         Rule codes to run (default: every registered rule).
     root:
-        Directory violation paths are reported relative to (default: the
-        common parent inferred per-path; pass the repo root for stable
-        baseline fingerprints).
-    index_cache:
-        Optional JSON path caching pass-1 facts keyed on per-file source
-        hashes (the CI analyze job persists it across runs).
+        Directory that violation paths are reported relative to.  Without
+        one, paths are absolute; the CLI passes the working directory.
     """
 
     def __init__(
         self,
         select: Iterable[str] | None = None,
         root: Path | str | None = None,
-        index_cache: Path | str | None = None,
     ):
         codes = list(select) if select is not None else sorted(RULE_REGISTRY)
         unknown = [c for c in codes if c not in RULE_REGISTRY]
@@ -403,7 +362,6 @@ class LintEngine:
         self.rule_classes = [c for c in classes if not issubclass(c, ProjectRule)]
         self.project_rule_classes = [c for c in classes if issubclass(c, ProjectRule)]
         self.root = Path(root).resolve() if root is not None else None
-        self.index_cache = index_cache
         self.index = None  # the pass-1 PackageIndex of the last lint_paths run
         self.errors: list[str] = []
 
@@ -447,10 +405,7 @@ class LintEngine:
         """Build the pass-1 package index over already-parsed sources."""
         from repro.analyze.callgraph import build_index  # late: keeps engine ast-only
 
-        index = build_index(
-            {rp: (src.tree, src.text) for rp, src in sources.items()},
-            cache_path=self.index_cache,
-        )
+        index = build_index({rp: src.tree for rp, src in sources.items()})
         index.sources = sources
         return index
 
@@ -464,7 +419,7 @@ class LintEngine:
             sources[src.relpath] = src
             for cls in self.rule_classes:
                 violations.extend(cls(src).run())
-        if self.project_rule_classes or self.index_cache is not None:
+        if self.project_rule_classes:
             self.index = self.build_index(sources)
             for cls in self.project_rule_classes:
                 violations.extend(cls(self.index).run())
@@ -472,120 +427,8 @@ class LintEngine:
         return violations
 
 
-# ---------------------------------------------------------------------- #
-# baseline workflow
-# ---------------------------------------------------------------------- #
-
-
-@dataclass
-class Baseline:
-    """Accepted violation fingerprints with per-fingerprint counts."""
-
-    entries: Counter = field(default_factory=Counter)
-    path: Path | None = None
-
-    @property
-    def total(self) -> int:
-        return sum(self.entries.values())
-
-
-def load_baseline(path: Path | str) -> Baseline:
-    path = Path(path)
-    data = json.loads(path.read_text())
-    if data.get("schema_version") != BASELINE_SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported baseline schema {data.get('schema_version')!r} in {path}"
-        )
-    entries = Counter({str(k): int(v) for k, v in data.get("entries", {}).items()})
-    return Baseline(entries=entries, path=path)
-
-
-def write_baseline(violations: Iterable[Violation], path: Path | str) -> Path:
-    """Write the violations' fingerprints as the new accepted baseline."""
-    entries = Counter(v.fingerprint for v in violations)
-    doc = {
-        "schema_version": BASELINE_SCHEMA_VERSION,
-        "comment": (
-            "Accepted repro-analyze violations. Regenerate with "
-            "`repro analyze <paths> --update-baseline`; new code must not "
-            "add entries."
-        ),
-        "entries": {k: entries[k] for k in sorted(entries)},
-    }
-    path = Path(path)
-    path.write_text(json.dumps(doc, indent=2) + "\n")
-    return path
-
-
-def diff_baseline(
-    violations: list[Violation], baseline: Baseline
-) -> tuple[list[Violation], Counter]:
-    """Split findings into (new violations, fixed baseline entries).
-
-    For each fingerprint, up to the baselined count of occurrences is
-    accepted; any excess is new.  Baseline entries with fewer current
-    occurrences than recorded are reported as fixed (candidates for
-    ``--update-baseline``).
-    """
-    seen = Counter(v.fingerprint for v in violations)
-    budget = Counter(baseline.entries)
-    new: list[Violation] = []
-    for v in violations:
-        if budget[v.fingerprint] > 0:
-            budget[v.fingerprint] -= 1
-        else:
-            new.append(v)
-    fixed = Counter(
-        {
-            fp: count - seen.get(fp, 0)
-            for fp, count in baseline.entries.items()
-            if seen.get(fp, 0) < count
-        }
-    )
-    return new, fixed
-
-
-def explain_drift(violations: list[Violation], baseline: Baseline) -> list[dict]:
-    """Pair vanished baseline fingerprints with new findings.
-
-    For every baseline entry that no longer occurs (at its recorded
-    count), look for a new finding that is plausibly the *same* issue
-    after an edit: same code and either the same scope (the reported line
-    changed) or the same snippet (the enclosing scope was renamed or the
-    code moved).  Each new finding is consumed by at most one vanished
-    entry; leftovers are reported as genuinely new/fixed.
-    """
-    new, fixed = diff_baseline(violations, baseline)
-    report: list[dict] = []
-    unmatched = list(new)
-    for fp in sorted(fixed):
-        code, scope, snippet = (fp.split(":", 2) + ["", ""])[:3]
-        best: Violation | None = None
-        reason = "fixed (no matching new finding)"
-        for v in unmatched:
-            if v.code != code:
-                continue
-            if v.scope == scope:
-                best, reason = v, "same scope, snippet changed (edited line)"
-                break
-            if best is None and v.snippet == snippet:
-                best, reason = v, f"same snippet, scope moved to {v.path}:{v.scope}"
-        entry: dict = {"vanished": fp, "count": fixed[fp], "reason": reason}
-        if best is not None:
-            entry["paired_with"] = best.to_dict()
-            unmatched.remove(best)
-        report.append(entry)
-    for v in unmatched:
-        report.append(
-            {"vanished": None, "reason": "genuinely new", "paired_with": v.to_dict()}
-        )
-    return report
-
-
 def findings_to_dict(
     violations: list[Violation],
-    new: list[Violation],
-    baseline: Baseline | None,
     paths: list[str],
     errors: list[str] | None = None,
 ) -> dict:
@@ -596,21 +439,13 @@ def findings_to_dict(
 
     del _rules, _concurrency
     return {
-        "schema_version": BASELINE_SCHEMA_VERSION,
         "tool": "repro.analyze",
         "paths": list(paths),
         "rules": {
             code: {"summary": cls.summary, "rationale": cls.rationale}
             for code, cls in sorted(RULE_REGISTRY.items())
         },
-        "summary": {
-            "total": len(violations),
-            "new": len(new),
-            "baselined": len(violations) - len(new),
-            "baseline_path": str(baseline.path) if baseline and baseline.path else None,
-            "errors": len(errors or []),
-        },
+        "summary": {"total": len(violations), "errors": len(errors or [])},
         "violations": [v.to_dict() for v in violations],
-        "new": [v.to_dict() for v in new],
         "errors": list(errors or []),
     }

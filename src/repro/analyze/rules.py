@@ -108,16 +108,19 @@ class HotPathAllocationRule(Rule):
             self._profiled_depth -= 1
 
     def visit_Call(self, node: ast.Call) -> None:
-        if self._profiled_depth > 0:
-            name = dotted_name(node.func)
-            if name is not None and "." in name:
-                head, _, tail = name.rpartition(".")
-                if head in ("np", "numpy") and tail in ALLOC_CALLS:
-                    self.report(node, f"`{name}(...)` allocates per call in a hot path")
-                elif tail == "astype":
-                    self.report(node, "`.astype(...)` allocates per call in a hot path")
-                elif tail == "copy" and not node.args and not node.keywords:
-                    self.report(node, "`.copy()` allocates per call in a hot path")
+        if self._profiled_depth > 0 and isinstance(node.func, ast.Attribute):
+            # Read the method off the attribute: a receiver that is a call or
+            # an expression (`np.where(...).astype(...)`) has no dotted name.
+            method = node.func.attr
+            receiver = dotted_name(node.func.value)
+            if receiver in ("np", "numpy") and method in ALLOC_CALLS:
+                self.report(
+                    node, f"`{receiver}.{method}(...)` allocates per call in a hot path"
+                )
+            elif method == "astype":
+                self.report(node, "`.astype(...)` allocates per call in a hot path")
+            elif method == "copy" and not node.args and not node.keywords:
+                self.report(node, "`.copy()` allocates per call in a hot path")
         self.generic_visit(node)
 
 
@@ -425,7 +428,8 @@ class DirectMatmulRule(Rule):
     ``np.matmul``/``@``/``np.einsum`` in ``nn/`` or ``core/`` silently
     pins that product to the default BLAS path on *every* backend.
     Intentional exceptions (e.g. the PCA analysis helpers, which are
-    offline and backend-irrelevant) are fingerprinted in the baseline.
+    offline and backend-irrelevant) carry an inline ``noqa`` with the
+    reason.
     """
 
     code = "RPA007"

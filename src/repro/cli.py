@@ -15,7 +15,7 @@ Commands
 ``analyze``
     AST lint pass enforcing the plane/pool/determinism invariants
     (per-file rules RPA002-008 plus the interprocedural concurrency
-    rules RPA010-013), diffed against a committed baseline.
+    rules RPA010-013); exits 1 on any finding.
 ``kernels``
     Inspect the kernel-dispatch registry (backends per op, active
     selection) and micro-bench every backend into a perf report — the
@@ -215,16 +215,19 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return 0
 
     select = [c.strip().upper() for c in args.select.split(",")] if args.select else None
-    if args.concurrency:
-        if select:
-            print("error: --concurrency and --select are mutually exclusive",
-                  file=sys.stderr)
-            return 2
-        select = ["RPA010", "RPA011", "RPA012", "RPA013"]
-    engine = analyze.LintEngine(
-        select=select, root=Path.cwd(), index_cache=args.index_cache
-    )
+    try:
+        engine = analyze.LintEngine(select=select, root=Path.cwd())
+    except ValueError as exc:  # an unknown rule code
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     paths = args.paths or ["src"]
+    missing = [p for p in paths if not Path(p).exists()]
+    if missing:
+        print(f"error: no such file or directory: {', '.join(missing)}", file=sys.stderr)
+        return 2
+    if next(engine.iter_python_files(paths), None) is None:
+        print(f"error: no .py file in {', '.join(paths)}", file=sys.stderr)
+        return 2
     violations = engine.lint_paths(paths)
 
     if args.graph:
@@ -241,55 +244,21 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         )
         print(f"call/lock graph written to {args.graph}")
 
-    baseline = None
-    baseline_path = Path(args.baseline)
-    if args.update_baseline:
-        analyze.write_baseline(violations, baseline_path)
-        print(f"baseline updated: {baseline_path} ({len(violations)} accepted violation(s))")
-        return 0
-    if not args.no_baseline and baseline_path.is_file():
-        baseline = analyze.load_baseline(baseline_path)
-        new, fixed = analyze.diff_baseline(violations, baseline)
-    else:
-        new, fixed = list(violations), {}
-
     if args.json:
         findings = analyze.findings_to_dict(
-            violations, new, baseline, [str(p) for p in paths], errors=engine.errors
+            violations, [str(p) for p in paths], errors=engine.errors
         )
         Path(args.json).write_text(json.dumps(findings, indent=2) + "\n")
         print(f"findings JSON written to {args.json}")
 
-    if args.explain_drift and baseline is not None:
-        drift = analyze.explain_drift(violations, baseline)
-        if drift:
-            print("baseline drift:")
-        for entry in drift:
-            paired = entry.get("paired_with")
-            where = (
-                f" -> {paired['path']}:{paired['line']} [{paired['fingerprint']}]"
-                if paired
-                else ""
-            )
-            vanished = entry["vanished"] or "(no vanished entry)"
-            print(f"  {vanished}: {entry['reason']}{where}")
-
-    for v in new:
+    for v in violations:
         print(analyze.format_github(v) if args.format == "github" else v.format())
     for err in engine.errors:
         print(f"error: {err}", file=sys.stderr)
-    baselined = len(violations) - len(new)
-    print(
-        f"\n{len(violations)} violation(s): {len(new)} new, {baselined} baselined"
-        + (f" ({baseline_path})" if baseline else " (no baseline file)")
-    )
-    if fixed:
-        total_fixed = sum(fixed.values())
-        print(f"{total_fixed} baselined violation(s) no longer occur — run "
-              "`repro analyze --update-baseline` to shrink the baseline")
-    if new or engine.errors:
+    if violations or engine.errors:
+        print(f"\n{len(violations)} violation(s), {len(engine.errors)} unparseable file(s)")
         return 1
-    print("OK: no new violations")
+    print("OK: no violations")
     return 0
 
 
@@ -453,32 +422,15 @@ def build_parser() -> argparse.ArgumentParser:
                                help="AST lint pass for plane/pool/determinism invariants")
     p_analyze.add_argument("paths", nargs="*", default=None,
                            help="files/directories to lint (default: src)")
-    p_analyze.add_argument("--baseline", default="analyze_baseline.json",
-                           help="accepted-violations file (default: analyze_baseline.json)")
-    p_analyze.add_argument("--update-baseline", action="store_true",
-                           help="accept all current violations into the baseline and exit")
     p_analyze.add_argument("--json", default=None, metavar="PATH",
                            help="write machine-readable findings JSON (the CI artifact)")
     p_analyze.add_argument("--select", default=None, metavar="CODES",
                            help="comma-separated rule codes to run (default: all)")
-    p_analyze.add_argument("--concurrency", action="store_true",
-                           help="run only the interprocedural concurrency rules "
-                                "RPA010-RPA013 (lock order, barrier fencing, "
-                                "fork-tainted RNG, unguarded shared mutation)")
     p_analyze.add_argument("--format", choices=("text", "github"), default="text",
-                           help="'github' emits ::error workflow annotations for "
-                                "new findings (inline PR surfacing)")
+                           help="'github' emits ::error workflow annotations "
+                                "(inline PR surfacing)")
     p_analyze.add_argument("--graph", default=None, metavar="PATH",
                            help="dump the pass-1 call/lock graph as JSON")
-    p_analyze.add_argument("--explain-drift", action="store_true",
-                           help="pair vanished baseline fingerprints with new "
-                                "findings (what moved vs. what is genuinely new)")
-    p_analyze.add_argument("--no-baseline", action="store_true",
-                           help="ignore any baseline file: every finding is new "
-                                "(used by the zero-debt concurrency CI gate)")
-    p_analyze.add_argument("--index-cache", default=None, metavar="PATH",
-                           help="JSON cache for the pass-1 package index, keyed "
-                                "on per-file source hashes (CI persists it)")
     p_analyze.add_argument("--list-rules", action="store_true",
                            help="print the rule catalog and exit")
     p_analyze.set_defaults(func=cmd_analyze)

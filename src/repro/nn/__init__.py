@@ -9,7 +9,6 @@ from repro.nn.layers import (
     Conv2d,
     Dropout,
     Flatten,
-    FusedBNReLU,
     GlobalAvgPool2d,
     Identity,
     LeakyReLU,
@@ -19,7 +18,6 @@ from repro.nn.layers import (
     ReLU,
     Sequential,
     Softplus,
-    fuse_bn_relu,
 )
 from repro.nn.losses import CrossEntropyLoss, MSELoss
 from repro.nn.module import Module, Parameter
@@ -44,8 +42,6 @@ __all__ = [
     "Flatten",
     "Identity",
     "Sequential",
-    "FusedBNReLU",
-    "fuse_bn_relu",
     "CrossEntropyLoss",
     "MSELoss",
 ]

@@ -34,8 +34,6 @@ __all__ = [
     "Flatten",
     "Sequential",
     "Identity",
-    "FusedBNReLU",
-    "fuse_bn_relu",
 ]
 
 
@@ -170,67 +168,6 @@ class ReLU(Module):
 
     def __repr__(self) -> str:
         return "ReLU()"
-
-
-class FusedBNReLU(Module):
-    """Batch normalization + ReLU as a single fused op.
-
-    Wraps an existing :class:`BatchNorm1d`/:class:`BatchNorm2d` so the
-    γ/β Parameters (and their weight-plane slots, if already finalized)
-    are shared with the wrapped layer, and forwards through
-    :func:`repro.tensor.batch_norm_relu` — one tape node, one pass over
-    the activation on the ``fast`` backend instead of two.
-
-    Note: wrapping changes parameter *names* in ``state_dict`` (e.g.
-    ``layers.3.gamma`` becomes ``layers.3.bn.gamma``) but not their order,
-    so weight-plane layouts are identical whether fusion happens before or
-    after ``finalize``.
-    """
-
-    def __init__(self, bn: _BatchNorm):
-        super().__init__()
-        if not isinstance(bn, _BatchNorm):
-            raise TypeError(f"FusedBNReLU wraps a BatchNorm1d/BatchNorm2d, got {type(bn).__name__}")
-        self.bn = bn
-
-    def forward(self, x: Tensor) -> Tensor:
-        bn = self.bn
-        bn._check_ndim(x)
-        return F.batch_norm_relu(
-            x,
-            bn.gamma,
-            bn.beta,
-            bn.running_mean,
-            bn.running_var,
-            training=self.training,
-            momentum=bn.momentum,
-            eps=bn.eps,
-        )
-
-    def __repr__(self) -> str:
-        return f"FusedBNReLU({self.bn!r})"
-
-
-def fuse_bn_relu(model: Module) -> int:
-    """Replace adjacent ``[BatchNorm, ReLU]`` pairs in every ``Sequential``
-    of ``model`` with :class:`FusedBNReLU`, in place.
-
-    Returns the number of pairs fused.  Safe to call before or after
-    ``finalize`` — the wrapped BatchNorm keeps its Parameter objects, so
-    plane views stay valid.
-    """
-    fused = 0
-    for module in model.modules():
-        if not isinstance(module, Sequential):
-            continue
-        layers = module.layers
-        i = 0
-        while i < len(layers) - 1:
-            if isinstance(layers[i], _BatchNorm) and type(layers[i + 1]) is ReLU:
-                layers[i : i + 2] = [FusedBNReLU(layers[i])]
-                fused += 1
-            i += 1
-    return fused
 
 
 class LeakyReLU(Module):

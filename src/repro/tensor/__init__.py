@@ -9,7 +9,6 @@ from repro.tensor.conv import (
 )
 from repro.tensor.functional import (
     batch_norm,
-    batch_norm_relu,
     cross_entropy,
     dropout,
     elu,
@@ -42,7 +41,6 @@ __all__ = [
     "prelu",
     "dropout",
     "batch_norm",
-    "batch_norm_relu",
     "log_softmax",
     "softmax",
     "cross_entropy",

@@ -18,7 +18,6 @@ __all__ = [
     "prelu",
     "dropout",
     "batch_norm",
-    "batch_norm_relu",
     "log_softmax",
     "softmax",
     "cross_entropy",
@@ -137,9 +136,9 @@ def _bn_stats(
     training: bool,
     momentum: float,
 ):
-    """Batch/running statistics plus reshaped affine params (shared by the
-    plain and fused batch-norm entry points; updates running buffers in
-    place when training)."""
+    """Batch/running statistics plus reshaped affine params for
+    :func:`batch_norm` (updates the running buffers in place when
+    training)."""
     axes = (0,) if x.ndim == 2 else (0, 2, 3)
     shape = (1, -1) if x.ndim == 2 else (1, -1, 1, 1)
     g_ = gamma.data.reshape(shape)
@@ -159,47 +158,6 @@ def _bn_stats(
         mu = running_mean.reshape(shape)
         var = running_var.reshape(shape)
     return axes, mu, var, g_, b_
-
-
-@profiled("batch_norm_relu.forward")
-def batch_norm_relu(
-    x: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    running_mean: np.ndarray,
-    running_var: np.ndarray,
-    training: bool,
-    momentum: float = 0.1,
-    eps: float = 1e-5,
-) -> Tensor:
-    """Batch normalization immediately followed by relu, as one tape node.
-
-    Semantically identical to ``batch_norm(...).relu()`` (the ``reference``
-    kernel *is* that composition); the ``fast`` kernel folds the affine into
-    a per-channel scale/shift and clamps in place, halving the passes over
-    the activation.  Used by :class:`repro.nn.FusedBNReLU`.
-    """
-    axes, mu, var, g_, b_ = _bn_stats(
-        x, gamma, beta, running_mean, running_var, training, momentum
-    )
-    backend, fwd = kernels.resolve("bn_relu_forward")
-    _, bwd = kernels.resolve("bn_relu_backward", backend)
-    out_data, ctx = fwd(x.data, g_, b_, mu, var, eps)
-
-    def backward(g, out=None):
-        with profiled("batch_norm_relu.backward"):
-            gx, ggamma, gbeta = bwd(
-                g, ctx, axes, training, x.requires_grad, gamma.requires_grad, beta.requires_grad
-            )
-            if ggamma is not None:
-                out._accumulate(gamma, ggamma)
-            if gbeta is not None:
-                out._accumulate(beta, gbeta)
-            if gx is not None:
-                out._accumulate(x, gx)
-
-    out = Tensor.from_op(out_data, (x, gamma, beta), lambda g: backward(g, out))
-    return out
 
 
 @profiled("log_softmax.forward")

@@ -2,9 +2,9 @@
 
 Times every backend registered for a set of representative ops on fixed
 shapes drawn from the families where the ``fast`` kernels win (small
-spatial outputs from the conv GEMM, channel-major batchnorm activations),
-and freezes the minima into a :class:`~repro.profile.PerfReport` whose
-gauge ops are named ``kernels.<op>.<backend>``.
+spatial outputs from the conv GEMM), and freezes the minima into a
+:class:`~repro.profile.PerfReport` whose gauge ops are named
+``kernels.<op>.<backend>``.
 
 Absolute times are machine-dependent, so CI gates the emitted report only
 on *ratios*: ``check_perf_report.py --normalize kernels.<op>.reference``
@@ -34,8 +34,8 @@ BENCH_ROUNDS = 30
 _CONV_N, _CONV_C, _CONV_F = 8, 256, 256
 _CONV_HW, _CONV_K, _CONV_PAD = 4, 3, 1
 
-#: BatchNorm+ReLU bench shape (NCHW).
-_BN_SHAPE = (64, 64, 16, 16)
+#: ReLU bench shape (NCHW).
+_RELU_SHAPE = (64, 64, 16, 16)
 
 
 def _conv_case(rng: np.random.Generator):
@@ -57,26 +57,14 @@ def _matmul_case(rng: np.random.Generator):
     return (a, b)
 
 
-def _bn_relu_case(rng: np.random.Generator):
-    x = rng.standard_normal(_BN_SHAPE, dtype=np.float32)
-    c = _BN_SHAPE[1]
-    shape = (1, c, 1, 1)
-    g_ = rng.standard_normal(c, dtype=np.float32).reshape(shape)
-    b_ = rng.standard_normal(c, dtype=np.float32).reshape(shape)
-    mu = x.mean(axis=(0, 2, 3), keepdims=True)
-    var = x.var(axis=(0, 2, 3), keepdims=True)
-    return (x, g_, b_, mu, var, 1e-5)
-
-
 def _relu_case(rng: np.random.Generator):
-    return (rng.standard_normal(_BN_SHAPE, dtype=np.float32),)
+    return (rng.standard_normal(_RELU_SHAPE, dtype=np.float32),)
 
 
 #: op name -> argument factory.  Only ops listed here are benched.
 _CASES = {
     "matmul": _matmul_case,
     "conv2d_forward": _conv_case,
-    "bn_relu_forward": _bn_relu_case,
     "relu_forward": _relu_case,
 }
 
@@ -84,7 +72,6 @@ _CASES = {
 _SPEEDUP_METAS = {
     "speedup_conv_gemm": "matmul",
     "speedup_conv_forward": "conv2d_forward",
-    "speedup_bn_relu": "bn_relu_forward",
 }
 
 
@@ -132,7 +119,7 @@ def bench_kernels(rounds: int = BENCH_ROUNDS, seed: int = 0) -> PerfReport:
         "sparse_density_cutoff": sparse.density_cutoff(),
         "shapes": {
             "conv": [_CONV_N, _CONV_C, _CONV_F, _CONV_HW, _CONV_K, _CONV_PAD],
-            "bn_relu": list(_BN_SHAPE),
+            "relu": list(_RELU_SHAPE),
         },
     }
     for meta_name, op in _SPEEDUP_METAS.items():

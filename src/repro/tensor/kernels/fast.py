@@ -1,4 +1,4 @@
-"""Fast backend: pooled workspaces, batch-flattened conv GEMM, fused ops.
+"""Fast backend: pooled workspaces, batch-flattened conv GEMM, folded batchnorm.
 
 Every kernel here is parity-tested against the ``reference`` backend
 (``tests/test_kernels_parity.py``) and perf-gated in CI against a
@@ -21,10 +21,10 @@ What actually wins on this op mix (measured, not assumed):
 * **Blocked/tiled matmul** — very tall 2-D GEMMs are row-blocked so each
   ``block x K`` panel fits the L2 target; batched right-hand sides with a
   skinny trailing dim are flattened into one GEMM.
-* **Fused batchnorm(+relu)** — folding ``(gamma, beta, mu, var)`` into a
-  per-channel ``scale``/``shift`` pair halves the passes over the
-  activation; relu happens in place on the same buffer.  ``xhat`` is
-  recomputed lazily in backward, so eval/inference never pays for it.
+* **Folded batchnorm** — ``(gamma, beta, mu, var)`` become one
+  per-channel ``scale``/``shift`` pair, which halves the passes over the
+  activation.  ``xhat`` is recomputed lazily in backward, so
+  eval/inference never pays for it.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ def _tiled_matmul_2d(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     block = max(512, L2_TARGET_BYTES // max(1, k * a.itemsize))
     if m < 2 * block:
         return np.matmul(a, b)
-    # repro: noqa[RPA002] op output buffer; escapes to the caller
+    # op output buffer; escapes to the caller
     out = np.empty((m, b.shape[1]), dtype=a.dtype)
     for lo in range(0, m, block):
         np.matmul(a[lo : lo + block], b, out=out[lo : lo + block])
@@ -80,7 +80,7 @@ def _flattened_batched_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     np.copyto(panel.reshape(k, nb, cols), b.swapaxes(0, 1))
     o2 = acquire_workspace((m, nb * cols), a.dtype, zero=False)
     np.matmul(a, panel, out=o2)
-    # repro: noqa[RPA002] op output buffer; escapes to the caller
+    # op output buffer; escapes to the caller
     out = np.empty((nb, m, cols), dtype=a.dtype)
     np.copyto(out, o2.reshape(m, nb, cols).swapaxes(0, 1))
     return out
@@ -259,7 +259,7 @@ def conv2d_backward(
 @profiled("kernels.relu_forward.fast")
 def relu_forward(x: np.ndarray) -> tuple[np.ndarray, dict]:
     """Single-pass rectifier; the mask is derived from the output lazily."""
-    # repro: noqa[RPA002] op output; escapes into the returned Tensor
+    # op output; escapes into the returned Tensor
     out = np.maximum(x, 0.0)
     return out, {"out": out}
 
@@ -272,7 +272,7 @@ def relu_backward(g: np.ndarray, ctx: dict) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------- #
-# batch norm (and fused batchnorm+relu)
+# batch norm
 # ---------------------------------------------------------------------- #
 
 
@@ -324,44 +324,6 @@ def batch_norm_backward(
     ggamma = (g * xhat).sum(axis=axes) if need_ggamma else None
     gbeta = g.sum(axis=axes) if need_gbeta else None
     gx = _bn_input_grad(g * g_, xhat, inv_std, axes, training) if need_gx else None
-    return gx, ggamma, gbeta
-
-
-@register_kernel("bn_relu_forward", "fast")
-@profiled("kernels.bn_relu_forward.fast")
-def bn_relu_forward(
-    x: np.ndarray,
-    g_: np.ndarray,
-    b_: np.ndarray,
-    mu: np.ndarray,
-    var: np.ndarray,
-    eps: float,
-) -> tuple[np.ndarray, dict]:
-    """Fused normalize-scale-shift-clamp: one buffer, relu in place."""
-    inv_std, scale, shift = _scale_shift(g_, b_, mu, var, eps)
-    y = x * scale
-    y += shift
-    out = np.maximum(y, 0.0, out=y)
-    return out, {"x": x, "mu": mu, "inv_std": inv_std, "g_": g_, "out": out, "xhat": None}
-
-
-@register_kernel("bn_relu_backward", "fast")
-@profiled("kernels.bn_relu_backward.fast")
-def bn_relu_backward(
-    g: np.ndarray,
-    ctx: dict,
-    axes: tuple[int, ...],
-    training: bool,
-    need_gx: bool,
-    need_ggamma: bool,
-    need_gbeta: bool,
-) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
-    gy = g * (ctx["out"] > 0)
-    inv_std, g_ = ctx["inv_std"], ctx["g_"]
-    xhat = _lazy_xhat(ctx) if (need_ggamma or need_gx) else None
-    ggamma = (gy * xhat).sum(axis=axes) if need_ggamma else None
-    gbeta = gy.sum(axis=axes) if need_gbeta else None
-    gx = _bn_input_grad(gy * g_, xhat, inv_std, axes, training) if need_gx else None
     return gx, ggamma, gbeta
 
 

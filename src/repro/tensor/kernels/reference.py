@@ -167,7 +167,7 @@ def relu_backward(g: np.ndarray, ctx: dict) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------- #
-# batch norm (and the fused batchnorm+relu pair)
+# batch norm
 # ---------------------------------------------------------------------- #
 
 
@@ -213,45 +213,6 @@ def batch_norm_backward(
     ggamma = (g * xhat).sum(axis=axes) if need_ggamma else None
     gbeta = g.sum(axis=axes) if need_gbeta else None
     gx = _bn_input_grad(g * g_, xhat, inv_std, axes, training) if need_gx else None
-    return gx, ggamma, gbeta
-
-
-@register_kernel("bn_relu_forward", REFERENCE_BACKEND)
-@profiled("kernels.bn_relu_forward.reference")
-def bn_relu_forward(
-    x: np.ndarray,
-    g_: np.ndarray,
-    b_: np.ndarray,
-    mu: np.ndarray,
-    var: np.ndarray,
-    eps: float,
-) -> tuple[np.ndarray, dict]:
-    """Batchnorm followed by relu, composed from the verbatim pieces."""
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv_std
-    y = g_ * xhat + b_
-    mask = y > 0
-    out = y * mask
-    return out, {"xhat": xhat, "inv_std": inv_std, "g_": g_, "mask": mask}
-
-
-@register_kernel("bn_relu_backward", REFERENCE_BACKEND)
-@profiled("kernels.bn_relu_backward.reference")
-def bn_relu_backward(
-    g: np.ndarray,
-    ctx: dict,
-    axes: tuple[int, ...],
-    training: bool,
-    need_gx: bool,
-    need_ggamma: bool,
-    need_gbeta: bool,
-) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
-    """Relu mask first, then the full BN gradient on the masked upstream."""
-    gy = g * ctx["mask"]
-    xhat, inv_std, g_ = ctx["xhat"], ctx["inv_std"], ctx["g_"]
-    ggamma = (gy * xhat).sum(axis=axes) if need_ggamma else None
-    gbeta = gy.sum(axis=axes) if need_gbeta else None
-    gx = _bn_input_grad(gy * g_, xhat, inv_std, axes, training) if need_gx else None
     return gx, ggamma, gbeta
 
 

@@ -345,7 +345,7 @@ def _spmm(pack: PackedWeight, a: np.ndarray) -> np.ndarray:
     pack.refresh()
     if a.ndim == 1:
         return pack.matrix @ a
-    # repro: noqa[RPA002] op output buffer; escapes to the caller
+    # op output buffer; escapes to the caller
     return np.ascontiguousarray((pack.matrix @ a.T).T)
 
 
@@ -401,10 +401,9 @@ def conv2d_forward(
     k, ohw = cols.shape[1], oh * ow
     pack.refresh()
     # One SpMM over the whole batch: (F, K) @ (K, N*OH*OW).
-    # repro: noqa[RPA002] batch-flattened patch copy feeding a single SpMM
     flat_cols = np.moveaxis(cols, 0, 1).reshape(k, n * ohw)
     out2 = pack.matrix @ flat_cols
-    # repro: noqa[RPA002] op output buffer; escapes to the caller
+    # op output buffer; escapes to the caller
     out = np.ascontiguousarray(out2.reshape(f, n, ohw).transpose(1, 0, 2))
     out = out.reshape(n, f, oh, ow)
     if bias is not None:

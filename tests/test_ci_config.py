@@ -142,49 +142,19 @@ class TestCheckPerfReport:
 
 
 class TestAnalyzeJobWiring:
-    """The analyze job must lint vs the committed baseline and smoke-train
-    with the runtime sanitizers on."""
+    """The analyze job must lint with every rule at zero debt and
+    smoke-train with the runtime sanitizers on."""
 
-    def test_lints_against_committed_baseline(self, workflow):
-        runs = " ".join(s.get("run", "") for s in workflow["jobs"]["analyze"]["steps"])
-        assert "repro analyze src" in runs
-        assert "--baseline analyze_baseline.json" in runs
-        assert "--json analyze_findings.json" in runs
+    def test_one_lint_step_runs_every_rule(self, workflow):
+        runs = [s.get("run", "") for s in workflow["jobs"]["analyze"]["steps"]]
+        (lint,) = [r for r in runs if "repro analyze" in r]
+        assert "repro analyze src" in lint
+        assert "--select" not in lint
+        assert "--json analyze_findings.json" in lint
 
     def test_lint_emits_github_annotations(self, workflow):
         runs = " ".join(s.get("run", "") for s in workflow["jobs"]["analyze"]["steps"])
         assert "--format github" in runs
-
-    def test_pass1_index_is_cached_on_source_hash(self, workflow):
-        job = workflow["jobs"]["analyze"]
-        caches = [s for s in job["steps"] if "actions/cache" in s.get("uses", "")]
-        # caches[0] is the pip cache every job carries; the index cache is
-        # the analyze job's own.
-        index = next(
-            c for c in caches
-            if ".repro-analyze-index.json" in c["with"]["path"]
-        )
-        assert "hashFiles('src/**/*.py')" in index["with"]["key"]
-        runs = " ".join(s.get("run", "") for s in job["steps"])
-        assert "--index-cache .repro-analyze-index.json" in runs
-
-    def test_concurrency_rules_gate_is_zero_debt(self, workflow):
-        # RPA010-013 run with no baseline: any finding fails the job.
-        runs = [s.get("run", "") for s in workflow["jobs"]["analyze"]["steps"]]
-        gate = next(r for r in runs if "--concurrency" in r)
-        assert "--no-baseline" in gate
-
-    def test_committed_analyze_baseline_exists(self):
-        import json
-
-        path = REPO_ROOT / "analyze_baseline.json"
-        assert path.is_file(), "committed analyze baseline missing"
-        data = json.loads(path.read_text())
-        assert "entries" in data and data["schema_version"] == 2
-        # v2 fingerprints are path-free: code:scope:snippet.
-        for fingerprint in data["entries"]:
-            code, scope, snippet = fingerprint.split(":", 2)
-            assert code.startswith("RPA") and scope and snippet
 
     def test_smoke_train_runs_under_sanitizers(self, workflow):
         job = workflow["jobs"]["analyze"]
@@ -208,6 +178,8 @@ class TestAnalyzeJobWiring:
         job = workflow["jobs"]["analyze"]
         uploads = [s for s in job["steps"] if "upload-artifact" in s.get("uses", "")]
         assert uploads and "analyze_findings.json" in uploads[0]["with"]["path"]
+        # GitHub skips a step without `if:` once any step has failed.
+        assert uploads[0]["if"] == "${{ !cancelled() }}"
 
 
 class TestSanitizedReportsSkipPerfGate:
@@ -310,7 +282,6 @@ class TestKernelGateWiring:
         # silently skip every op, so the job must zero it.
         assert "--min-seconds 0.0" in runs
         assert "--gate-meta speedup_conv_gemm:1.1" in runs
-        assert "--gate-meta speedup_bn_relu:1.2" in runs
         assert "--gate-meta speedup_conv_forward:1.0" in runs
 
     @pytest.mark.parametrize("backend", ["reference", "sparse"])
@@ -330,13 +301,10 @@ class TestKernelGateWiring:
             "kernels.matmul.fast",
             "kernels.conv2d_forward.reference",
             "kernels.conv2d_forward.fast",
-            "kernels.bn_relu_forward.reference",
-            "kernels.bn_relu_forward.fast",
         ):
             assert op in report.ops, op
             assert report.ops[op].total_seconds > 0
         assert report.meta["speedup_conv_gemm"] >= 1.1
-        assert report.meta["speedup_bn_relu"] >= 1.2
         assert report.meta["speedup_conv_forward"] >= 1.0
 
 

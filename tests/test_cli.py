@@ -94,7 +94,7 @@ class TestKernelsCommand:
     def test_lists_dispatch_table(self, capsys):
         assert main(["kernels"]) == 0
         out = capsys.readouterr().out
-        for op in ("matmul", "conv2d_forward", "bn_relu_forward"):
+        for op in ("matmul", "conv2d_forward", "batch_norm_forward"):
             assert op in out
         assert "reference" in out
         assert "active backend:" in out
@@ -124,7 +124,7 @@ class TestKernelsCommand:
         report = PerfReport.load(out_path)
         assert "kernels.matmul.reference" in report.ops
         assert "kernels.conv2d_forward.fast" in report.ops
-        for meta_key in ("speedup_conv_gemm", "speedup_bn_relu", "speedup_conv_forward"):
+        for meta_key in ("speedup_conv_gemm", "speedup_conv_forward"):
             assert isinstance(report.meta[meta_key], float)
         assert report.meta["rounds"] == 2
         assert report.meta["sparse_density_cutoff"] == 0.25

@@ -147,7 +147,6 @@ class TestIntrospection:
             "conv2d_forward", "conv2d_backward",
             "relu_forward", "relu_backward",
             "batch_norm_forward", "batch_norm_backward",
-            "bn_relu_forward", "bn_relu_backward",
             "max_pool2d_forward", "max_pool2d_backward",
             "avg_pool2d_forward", "avg_pool2d_backward",
         } <= ops
