@@ -23,7 +23,7 @@ from repro import profile
 from repro.data import DataLoader, Dataset, synth_cifar, synth_mnist
 from repro.nn import Module
 from repro.optim import ConstantLR, Optimizer, Schedule
-from repro.train import Callback, History, ProfilerCallback, Trainer
+from repro.train import Callback, History, Trainer
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -108,24 +108,10 @@ def train_run(
     loss_fn=None,
     batch_size: int | None = None,
     patience: int | None = None,
-    profile_name: str | None = None,
 ) -> History:
-    """Run one training configuration and return its history.
-
-    ``profile_name`` attaches a :class:`ProfilerCallback` and writes the
-    op-level report to ``benchmarks/results/perf_<profile_name>.json``.
-    """
+    """Run one training configuration and return its history."""
     train, test = data
     lr = lr if lr is not None else optimizer.lr
-    callbacks = list(callbacks or [])
-    if profile_name is not None:
-        RESULTS_DIR.mkdir(exist_ok=True)
-        callbacks.append(
-            ProfilerCallback(
-                report_name=profile_name,
-                emit_path=RESULTS_DIR / f"perf_{profile_name}.json",
-            )
-        )
     trainer = Trainer(
         model,
         optimizer,
@@ -219,8 +205,7 @@ def profiled_run(name: str, fn, meta: dict | None = None) -> profile.PerfReport:
     """Run ``fn()`` with op-level profiling and emit ``perf_<name>.json``.
 
     Convenience wrapper for benches that are plain callables rather than
-    :class:`Trainer` loops (which should attach :class:`ProfilerCallback`
-    — see :func:`train_run`'s ``profile_name``).
+    :class:`Trainer` loops (which should attach a ``ProfilerCallback``).
     """
     was_enabled = profile.is_enabled()
     baseline = profile.snapshot()

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 __all__ = [
     "ARENA_DATA_REGIONS",
     "ARENA_REGIONS",
+    "GLOBAL_RNG_FNS",
     "CallSite",
     "LockAcquire",
     "ArenaWrite",
@@ -48,6 +49,7 @@ __all__ = [
     "ClassFacts",
     "ModuleFacts",
     "collect_module_facts",
+    "is_lock_name",
     "module_name_for",
 ]
 
@@ -56,11 +58,12 @@ ARENA_DATA_REGIONS = frozenset({"plane", "grads", "losses"})
 #: All SharedArena regions (timers/control are monitoring-only, exempt).
 ARENA_REGIONS = ARENA_DATA_REGIONS | {"timers", "control"}
 
-#: Name fragments that make an attribute/variable "a lock" for fact purposes.
+#: Name fragments that make an attribute/variable "a lock" (RPA006, RPA010, RPA013).
 _LOCKY = ("lock", "cond", "sem", "mutex")
 
-#: np.random attributes that hit numpy's *global* RNG state (legacy API).
-_GLOBAL_RNG_FNS = frozenset(
+#: np.random attributes that hit numpy's *global* RNG state (legacy API;
+#: RPA003 and RPA012).
+GLOBAL_RNG_FNS = frozenset(
     {
         "rand", "randn", "randint", "random", "random_sample", "ranf", "sample",
         "choice", "shuffle", "permutation", "seed", "normal", "uniform",
@@ -110,7 +113,8 @@ def _dotted(node: ast.AST) -> str | None:
     return None
 
 
-def _is_locky(name: str) -> bool:
+def is_lock_name(name: str) -> bool:
+    """Whether ``name`` (case-insensitive) names a synchronization primitive."""
     return any(frag in name.lower() for frag in _LOCKY)
 
 
@@ -285,7 +289,7 @@ class _FactsVisitor(ast.NodeVisitor):
                     cf.lock_attrs.setdefault(stmt.target.id, stmt.lineno)
                 else:
                     ann = _dotted(stmt.annotation)
-                    if ann and _is_locky(ann.split(".")[-1]):
+                    if ann and is_lock_name(ann.split(".")[-1]):
                         cf.lock_attrs.setdefault(stmt.target.id, stmt.lineno)
 
     def _visit_function(self, node) -> None:
@@ -344,7 +348,7 @@ class _FactsVisitor(ast.NodeVisitor):
         if name is None:
             return None
         parts = name.split(".")
-        if not _is_locky(parts[-1]):
+        if not is_lock_name(parts[-1]):
             return None
         if parts[0] == "self" and len(parts) == 2:
             cls = self._func_stack[-1].cls if self._func_stack else None
@@ -542,7 +546,7 @@ class _FactsVisitor(ast.NodeVisitor):
             len(parts) >= 3
             and parts[-2] == "random"
             and parts[-3] in ("np", "numpy")
-            and leaf in _GLOBAL_RNG_FNS
+            and leaf in GLOBAL_RNG_FNS
         ):
             facts.rng_draws.append(RngDraw("global", name, node.lineno))
             return

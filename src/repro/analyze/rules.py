@@ -22,6 +22,7 @@ from repro.analyze.engine import (
     dotted_name,
     register_rule,
 )
+from repro.analyze.facts import GLOBAL_RNG_FNS, is_lock_name
 
 __all__ = [
     "HotPathAllocationRule",
@@ -50,15 +51,6 @@ ALLOC_CALLS = frozenset(
     {"zeros", "empty", "ones", "full", "copy", "zeros_like", "empty_like", "ones_like"}
 )
 
-#: np.random attributes that hit numpy's *global* RNG state (legacy API).
-_GLOBAL_RNG_FNS = frozenset(
-    {
-        "rand", "randn", "randint", "random", "random_sample", "ranf", "sample",
-        "choice", "shuffle", "permutation", "seed", "normal", "uniform", "standard_normal",
-        "binomial", "poisson", "beta", "gamma", "exponential", "laplace", "bytes",
-    }
-)
-
 
 def _ends_with(path: str, suffixes: tuple[str, ...] | str) -> bool:
     if isinstance(suffixes, str):
@@ -82,7 +74,7 @@ class HotPathAllocationRule(Rule):
     rationale = (
         "Hot paths run once per layer per step; per-call allocations "
         "defeat the workspace pool and show up as GC churn. Reuse "
-        "buffers (out=, _acquire_workspace) or justify with a noqa."
+        "buffers (out=, acquire_workspace) or justify with a noqa."
     )
 
     def __init__(self, src):
@@ -158,7 +150,7 @@ class UnseededRandomRule(Rule):
                 parts = name.split(".")
                 if len(parts) >= 3 and parts[0] in ("np", "numpy") and parts[1] == "random":
                     fn = parts[-1]
-                    if fn in _GLOBAL_RNG_FNS:
+                    if fn in GLOBAL_RNG_FNS:
                         self.report(
                             node,
                             f"`{name}(...)` uses numpy's global RNG state; "
@@ -311,9 +303,6 @@ class LockDisciplineRule(Rule):
     #: Only the serving layer is in scope for this rule.
     serve_dirs = ("serve/",)
 
-    #: Receiver-name fragments that mark a synchronization primitive.
-    _LOCKY = ("lock", "cond", "sem", "mutex")
-
     def _applies(self) -> bool:
         return any(d in self.src.relpath for d in self.serve_dirs)
 
@@ -379,8 +368,8 @@ class LockDisciplineRule(Rule):
                 f"use `with {shown}:` so the lock cannot leak on exceptions",
             )
 
-    @classmethod
-    def _bare_acquire(cls, stmt: ast.stmt) -> ast.Call | None:
+    @staticmethod
+    def _bare_acquire(stmt: ast.stmt) -> ast.Call | None:
         """The ``.acquire`` call if ``stmt`` is a bare/assigned acquire."""
         if isinstance(stmt, ast.Expr):
             value = stmt.value
@@ -395,7 +384,7 @@ class LockDisciplineRule(Rule):
         ):
             return None
         owner = dotted_name(value.func.value) or ""
-        if not any(frag in owner.lower() for frag in cls._LOCKY):
+        if not is_lock_name(owner):
             return None
         return value
 

@@ -11,9 +11,9 @@ untouched in normal runs:
   (exact base-pointer offset), dtype, and a write round-trip for every
   parameter — so code that reaches past the setter is caught too.
 * **Workspace-pool poisoning** — released conv/pool backward buffers are
-  NaN-filled between steps (:func:`repro.tensor.conv.poison_free_workspaces`),
+  NaN-filled between steps (:func:`repro.tensor.workspace.poison_free_workspaces`),
   turning any use-after-release into either a loud
-  :class:`~repro.tensor.conv.WorkspaceUseAfterReleaseError` (stale
+  :class:`~repro.tensor.workspace.WorkspaceUseAfterReleaseError` (stale
   writer) or a NaN that the gradient tripwire catches (stale reader).
 * **NaN/inf gradient tripwire** — after every backward pass each
   parameter gradient is scanned; the first non-finite value aborts with
@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from repro.nn.module import Module, Parameter
-from repro.tensor import conv
+from repro.tensor import workspace
 from repro.train.callbacks import Callback
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -494,11 +494,11 @@ class WorkspacePoisonCallback(Callback):
         self.poisoned_total = 0
 
     def on_step_end(self, trainer: "Trainer", step: int, loss: float) -> None:
-        self.poisoned_total += conv.poison_free_workspaces()
+        self.poisoned_total += workspace.poison_free_workspaces()
 
     def on_train_end(self, trainer: "Trainer") -> None:
         # Leave no poison behind for non-sanitized code that runs next.
-        conv.clear_workspace_cache()
+        workspace.clear_workspace_cache()
 
 
 def sanitizer_callbacks() -> list[Callback]:

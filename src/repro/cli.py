@@ -134,9 +134,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
         trainer = ParallelTrainer(model, opt, schedule=schedule, callbacks=callbacks,
                                   patience=args.patience, sanitize=sanitize,
-                                  workers=args.workers, microbatch=args.microbatch,
-                                  prefetch=args.prefetch)
-        print(f"data-parallel: {args.workers} workers, prefetch depth {args.prefetch}")
+                                  workers=args.workers, microbatch=args.microbatch)
+        print(f"data-parallel: {args.workers} workers")
     else:
         trainer = Trainer(model, opt, schedule=schedule, callbacks=callbacks,
                           patience=args.patience, sanitize=sanitize)
@@ -397,9 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--microbatch", type=int, default=None,
                          help="microbatch size for the deterministic gradient "
                               "reduction (default: batch-size / workers)")
-    p_train.add_argument("--prefetch", type=int, default=2,
-                         help="per-rank input-pipeline depth (0 disables "
-                              "prefetching; 2 = double buffering)")
     p_train.add_argument("--sanitize", action="store_true",
                          help="run under the runtime invariant sanitizers "
                               "(also enabled by REPRO_SANITIZE=1)")

@@ -89,9 +89,9 @@ class DataLoader:
     seed:
         Seed for the shuffle generator.  The order for epoch ``e`` is a pure
         function of ``(seed, e)`` — see :meth:`epoch_order` — so any number
-        of independent iterators (a prefetching wrapper, per-rank loaders in
-        data-parallel training, a fresh loader in a new process) derive the
-        exact same batch sequence without sharing generator state.
+        of independent iterators (per-rank loaders in data-parallel
+        training, a fresh loader in a new process) derive the exact same
+        batch sequence without sharing generator state.
     drop_last:
         Drop a trailing batch smaller than ``batch_size``.
     """
@@ -124,10 +124,9 @@ class DataLoader:
 
         Unlike a stateful generator advanced by each ``__iter__``, this
         derivation is independent of how many times (or in what
-        interleaving) the loader has been consumed, which is what makes a
-        prefetching iterator and the synchronous iterator — or N
-        data-parallel ranks each holding their own loader — agree bit-for-bit
-        on the same sequence.
+        interleaving) the loader has been consumed, which is what makes N
+        data-parallel ranks, each reading its own microbatches, agree
+        bit-for-bit on the same sequence.
         """
         n = len(self.dataset)
         if not self.shuffle:

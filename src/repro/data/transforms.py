@@ -127,8 +127,8 @@ class AugmentedLoader:
         Seed for the augmentation generator.  Like
         :meth:`repro.data.DataLoader.epoch_order`, the draw stream for epoch
         ``e`` is a pure function of ``(seed, e)`` rather than shared
-        generator state, so an asynchronous (prefetching) consumer and a
-        synchronous one apply bit-identical augmentations.
+        generator state, so a fresh loader over the same data, in this
+        process or another, applies bit-identical augmentations.
     """
 
     def __init__(self, loader, transform: Callable, seed: int = 0):

@@ -9,11 +9,11 @@ float32 buffer; this package turns that into multi-core training:
 * :func:`tree_sum` / :func:`tree_sum_range` — the canonical fixed-order
   pairwise reduction that keeps gradient summation bit-reproducible and
   identical across worker counts;
-* :class:`PrefetchLoader` — background-thread double-buffered input
-  pipeline;
-* :class:`ParallelTrainer` — the lockstep N-process trainer; DropBack's
-  top-k selection runs once per step on rank 0 against the reduced global
-  gradient, and the shared plane is the broadcast.
+* :class:`ParallelTrainer` — the lockstep N-process trainer; it runs
+  :class:`~repro.train.Trainer`'s epoch loop on rank 0, each rank reads
+  its own microbatches inline, DropBack's top-k selection runs once per
+  step on rank 0 against the reduced global gradient, and the shared
+  plane is the broadcast.
 
 See ``docs/parallel.md`` for the architecture and determinism contract.
 
@@ -21,14 +21,12 @@ This package is the designated home for process/shared-memory lifecycle
 code: lint rule RPA008 flags direct ``multiprocessing`` use elsewhere.
 """
 
-from repro.parallel.pipeline import PrefetchLoader
 from repro.parallel.reduce import tree_sum, tree_sum_range, tree_sum_scalars
 from repro.parallel.shm import SharedArena, adopt_plane, parallel_supported
 from repro.parallel.trainer import ParallelTrainer
 
 __all__ = [
     "ParallelTrainer",
-    "PrefetchLoader",
     "SharedArena",
     "adopt_plane",
     "parallel_supported",

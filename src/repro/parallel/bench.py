@@ -44,13 +44,10 @@ def _train_once(
     microbatch: int,
     epochs: int,
     seed: int,
-    prefetch: int,
 ) -> tuple[float, int, ParallelTrainer]:
     model = mnist_100_100().finalize(seed)
     opt = DropBack(model, k=max(1, model.num_parameters() // 5), lr=0.1)
-    trainer = ParallelTrainer(
-        model, opt, workers=workers, microbatch=microbatch, prefetch=prefetch
-    )
+    trainer = ParallelTrainer(model, opt, workers=workers, microbatch=microbatch)
     loader = DataLoader(train, batch_size, shuffle=True, seed=1, drop_last=True)
     t0 = time.perf_counter()
     history = trainer.fit(loader, test, epochs=epochs)
@@ -66,7 +63,6 @@ def bench_parallel(
     microbatch: int | None = None,
     epochs: int = 4,
     seed: int = 0,
-    prefetch: int = 2,
 ) -> PerfReport:
     """Run the 1-worker and ``workers``-worker trainings; return the report."""
     if workers < 2:
@@ -76,12 +72,8 @@ def bench_parallel(
     m = microbatch if microbatch is not None else batch_size // workers
     train, test = synth_mnist(n_train=train_size, n_test=max(64, train_size // 16), seed=0)
 
-    wall_1, steps_1, _ = _train_once(
-        1, train, test, batch_size, m, epochs, seed, prefetch
-    )
-    wall_n, steps_n, trainer_n = _train_once(
-        workers, train, test, batch_size, m, epochs, seed, prefetch
-    )
+    wall_1, steps_1, _ = _train_once(1, train, test, batch_size, m, epochs, seed)
+    wall_n, steps_n, trainer_n = _train_once(workers, train, test, batch_size, m, epochs, seed)
 
     tag = f"{workers}w"
     ops = {
@@ -109,7 +101,6 @@ def bench_parallel(
         "microbatch": m,
         "epochs": epochs,
         "seed": seed,
-        "prefetch": prefetch,
         "throughput_1w": round(throughput_1, 2),
         f"throughput_{tag}": round(throughput_n, 2),
         f"speedup_{tag}": round(speedup, 4),
@@ -127,7 +118,6 @@ def main(argv=None) -> int:
     parser.add_argument("--microbatch", type=int, default=None)
     parser.add_argument("--epochs", type=int, default=4)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--prefetch", type=int, default=2)
     parser.add_argument("--out", default=None, help="write the perf-report JSON here")
     args = parser.parse_args(argv)
 
@@ -138,7 +128,6 @@ def main(argv=None) -> int:
         microbatch=args.microbatch,
         epochs=args.epochs,
         seed=args.seed,
-        prefetch=args.prefetch,
     )
     tag = f"{args.workers}w"
     print(

@@ -36,12 +36,15 @@ share of the data.  The bit-identity tests therefore use plane-only models.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
 import sys
 import threading
 import time
 import traceback
+from collections.abc import Callable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,16 +52,26 @@ from repro.data import DataLoader, Dataset
 from repro.data.transforms import AugmentedLoader
 from repro.nn import Module
 from repro.optim import Optimizer, Schedule
-from repro.parallel.pipeline import PrefetchLoader
 from repro.parallel.reduce import tree_sum, tree_sum_range, tree_sum_scalars
 from repro.parallel.shm import SharedArena, adopt_plane, parallel_supported
 from repro.profile import is_enabled, profiled, registry
 from repro.tensor import Tensor
 from repro.train.callbacks import Callback
-from repro.train.metrics import evaluate
 from repro.train.trainer import History, Trainer
 
 __all__ = ["ParallelTrainer"]
+
+
+class _Plan(NamedTuple):
+    """One fit's data source and step geometry."""
+
+    loader: DataLoader  # its ``epoch_order`` gives every rank the batch sequence
+    transform: Callable | None  # the AugmentedLoader's transform
+    aug_seed: int
+    m: int  # microbatch size
+    n_micro: int  # M = batch_size / m
+    q: int  # microbatches per rank, M / N
+    steps: int  # per epoch
 
 
 class ParallelTrainer(Trainer):
@@ -67,11 +80,12 @@ class ParallelTrainer(Trainer):
     Drop-in alongside :class:`~repro.train.Trainer`: same constructor
     arguments plus the parallel knobs, same :class:`History`, same callback
     stream (callbacks, validation, scheduling, and the optimizer run on
-    rank 0 only).  ``fit`` accepts the same ``DataLoader`` (or
-    ``AugmentedLoader``); the loader's ``(seed, epoch)``-pure
-    ``epoch_order`` is what lets every rank derive the global batch
-    sequence independently.  ``drop_last`` semantics are forced: a trailing
-    partial batch would change the reduction tree shape.
+    rank 0 only, in :class:`~repro.train.Trainer`'s own epoch loop).
+    ``fit`` accepts the same ``DataLoader`` (or ``AugmentedLoader``); the
+    loader's ``(seed, epoch)``-pure ``epoch_order`` is what lets every rank
+    derive the global batch sequence independently.  ``drop_last``
+    semantics are forced: a trailing partial batch would change the
+    reduction tree shape.
 
     Parameters
     ----------
@@ -82,13 +96,11 @@ class ParallelTrainer(Trainer):
     microbatch:
         Microbatch size ``m``.  Default: ``batch_size // workers``.  Bit
         identity across worker counts requires the *same* ``m``.
-    prefetch:
-        Per-rank input-pipeline depth (microbatches prepared ahead on a
-        background thread; 2 = double buffering).  ``0`` disables
-        prefetching; contents are identical either way.
     barrier_timeout:
         Seconds a rank waits at a step barrier before declaring the fleet
-        wedged (a crashed peer breaks the barrier immediately).
+        wedged.  A rank that raises breaks the barrier at once, but a rank
+        that dies without raising (killed, for instance) stalls the others
+        for the full timeout.
     """
 
     def __init__(
@@ -103,7 +115,6 @@ class ParallelTrainer(Trainer):
         sanitize: bool | None = None,
         workers: int = 2,
         microbatch: int | None = None,
-        prefetch: int = 2,
         barrier_timeout: float = 120.0,
     ):
         super().__init__(
@@ -123,25 +134,24 @@ class ParallelTrainer(Trainer):
             )
         if microbatch is not None and microbatch < 1:
             raise ValueError(f"microbatch must be positive, got {microbatch}")
-        if prefetch < 0:
-            raise ValueError(f"prefetch must be >= 0, got {prefetch}")
         self.workers = workers
         self.microbatch = None if microbatch is None else int(microbatch)
-        self.prefetch = int(prefetch)
         self.barrier_timeout = float(barrier_timeout)
         # Per-rank (compute, barrier-wait) seconds, filled after fit().
         self.rank_compute_seconds: list[float] = []
         self.rank_wait_seconds: list[float] = []
+        self._plan: _Plan | None = None
         self._arena: SharedArena | None = None
         self._barrier = None
+        self._fence = None
         self._reduced: np.ndarray | None = None
 
     # ------------------------------------------------------------------ #
     # geometry
     # ------------------------------------------------------------------ #
 
-    def _resolve_spec(self, train_loader):
-        """Unpack the loader into (dataset, B, shuffle, seed, transform, aug_seed)."""
+    def _make_plan(self, train_loader) -> _Plan:
+        """Unpack the loader and validate the step geometry."""
         transform = None
         aug_seed = 0
         loader = train_loader
@@ -160,10 +170,7 @@ class ParallelTrainer(Trainer):
                 f"dataset {ds.name!r} images are {ds.images.dtype}; "
                 "the model boundary is float32"
             )
-        return loader, ds, loader.batch_size, transform, aug_seed
-
-    def _geometry(self, batch_size: int, n_examples: int) -> tuple[int, int, int, int]:
-        """Validate and return ``(m, M, q, steps_per_epoch)``."""
+        batch_size = loader.batch_size
         m = self.microbatch if self.microbatch is not None else batch_size // self.workers
         if m < 1:
             raise ValueError(
@@ -177,69 +184,62 @@ class ParallelTrainer(Trainer):
             raise ValueError(
                 f"microbatch count {n_micro} not divisible by {self.workers} workers"
             )
-        steps = n_examples // batch_size
+        steps = len(ds) // batch_size
         if steps < 1:
             raise ValueError(
-                f"dataset ({n_examples} examples) smaller than one global batch "
+                f"dataset ({len(ds)} examples) smaller than one global batch "
                 f"({batch_size})"
             )
-        return m, n_micro, n_micro // self.workers, steps
+        return _Plan(loader, transform, aug_seed, m, n_micro, n_micro // self.workers, steps)
 
     # ------------------------------------------------------------------ #
     # per-rank work
     # ------------------------------------------------------------------ #
 
-    def _microbatch_stream(
-        self, rank, epoch, order, steps, batch_size, m, q, ds, transform, aug_seed
-    ):
-        """Yield this rank's ``(x, y)`` microbatches for one epoch, in order.
+    def _microbatch(self, order, epoch: int, step: int, g: int):
+        """Global microbatch ``g`` of ``step`` as ``(x, y)``.
 
         Augmentation draws come from a generator seeded purely by
-        ``(aug_seed, epoch, step, global microbatch index)``, so they are
-        independent of worker count and of prefetch timing.
+        ``(aug_seed, epoch, step, g)``, so they are independent of worker
+        count.
         """
-        for step in range(steps):
-            base = step * batch_size
-            for j in range(q):
-                g = rank * q + j  # global microbatch index within the batch
-                idx = order[base + g * m : base + (g + 1) * m]
-                x = ds.images[idx]
-                y = ds.labels[idx]
-                if transform is not None:
-                    rng = np.random.default_rng((aug_seed, epoch, step, g))
-                    x = transform(x, rng)
-                yield x, y
+        plan = self._plan
+        ds = plan.loader.dataset
+        start = (step * plan.n_micro + g) * plan.m
+        idx = order[start : start + plan.m]
+        x = ds.images[idx]
+        if plan.transform is not None:
+            x = plan.transform(x, np.random.default_rng((plan.aug_seed, epoch, step, g)))
+        return x, ds.labels[idx]
 
-    def _open_stream(self, *args):
-        """The (optionally prefetching) microbatch iterator for one epoch."""
-        stream = self._microbatch_stream(*args)
-        if self.prefetch > 0:
-            return iter(PrefetchLoader(stream, depth=self.prefetch))
-        return stream
+    def _write_partial(self, rank: int, order, epoch: int, step: int) -> None:
+        """Tree-sum this rank's ``q`` microbatch gradients into its slot.
 
-    def _write_partial(self, rank: int, stream, q: int, arena: SharedArena) -> None:
-        """Tree-sum this rank's ``q`` microbatch gradients into its slot."""
-        plane_size = arena.plane_size
+        Each leaf reads its microbatch when the tree needs it, so data
+        fetch is part of the step.
+        """
+        plan = self._plan
+        arena = self._arena
         losses: list[float] = []
 
-        def leaf(_i: int) -> np.ndarray:
-            x, y = next(stream)
+        def leaf(j: int) -> np.ndarray:
+            x, y = self._microbatch(order, epoch, step, rank * plan.q + j)
             self.model.zero_grad()
             logits = self.model(Tensor(x))
             loss = self.loss_fn(logits, y)
             loss.backward()
             losses.append(loss.item())
-            flat = np.zeros(plane_size, dtype=np.float32)
+            flat = np.zeros(arena.plane_size, dtype=np.float32)
             for p in self.model.parameters():
                 if p.grad is not None:
                     seg = flat[p.base_index : p.base_index + p.size]
                     np.copyto(seg.reshape(p.shape), p.grad)
             return flat
 
-        tree_sum_range(q, leaf, out=arena.grads[rank])
+        tree_sum_range(plan.q, leaf, out=arena.grads[rank])
         arena.losses[rank] = tree_sum_scalars(losses)
 
-    def _make_fence(self, arena: SharedArena, rank: int):
+    def _make_fence(self, rank: int):
         """The per-rank arena write-fence, or ``None`` outside sanitize mode.
 
         The fence CRC-stamps this rank's SharedArena data regions at the
@@ -250,9 +250,9 @@ class ParallelTrainer(Trainer):
             return None
         from repro.analyze.sanitize import ArenaWriteFence
 
-        return ArenaWriteFence(arena, rank)
+        return ArenaWriteFence(self._arena, rank)
 
-    def _sync(self, rank: int, arena: SharedArena) -> None:
+    def _sync(self, rank: int) -> None:
         """Barrier with wait-time accounting and crash propagation."""
         t0 = time.perf_counter()
         try:
@@ -260,54 +260,49 @@ class ParallelTrainer(Trainer):
         except threading.BrokenBarrierError:
             detail = (
                 "a worker reported an error"
-                if arena.flag(SharedArena.CTRL_ABORT)
+                if self._arena.flag(SharedArena.CTRL_ABORT)
                 else "a worker crashed or timed out"
             )
             raise RuntimeError(f"data-parallel barrier broke: {detail}") from None
-        arena.timers[rank, 1] += time.perf_counter() - t0
+        self._arena.timers[rank, 1] += time.perf_counter() - t0
+
+    def _abort(self) -> None:
+        """Flag the failure and break the barrier so no rank waits it out."""
+        self._arena.set_flag(SharedArena.CTRL_ABORT)
+        try:
+            self._barrier.abort()
+        except Exception:
+            pass
 
     # ------------------------------------------------------------------ #
     # child process
     # ------------------------------------------------------------------ #
 
-    def _child_main(
-        self, rank, loader, epochs, steps, batch_size, m, q, ds, transform, aug_seed
-    ):  # pragma: no cover - runs in a forked child
+    def _child_main(self, rank: int, epochs: int) -> None:  # pragma: no cover - forked child
         arena = self._arena
-        fence = self._make_fence(arena, rank)
+        fence = self._make_fence(rank)
         rc = 0
         try:
             self.model.train()
             for epoch in range(epochs):
-                order = loader.epoch_order(epoch)
-                stream = self._open_stream(
-                    rank, epoch, order, steps, batch_size, m, q, ds, transform, aug_seed
-                )
-                try:
-                    for _step in range(steps):
-                        t0 = time.perf_counter()
-                        self._write_partial(rank, stream, q, arena)
-                        arena.timers[rank, 0] += time.perf_counter() - t0
-                        if fence is not None:
-                            fence.seal_compute()
-                        self._sync(rank, arena)  # grads ready
-                        self._sync(rank, arena)  # weights + control updated
-                        if fence is not None:
-                            fence.open_compute()
-                        if arena.flag(SharedArena.CTRL_STOP):
-                            break
-                finally:
-                    if hasattr(stream, "close"):
-                        stream.close()
-                self._sync(rank, arena)  # epoch boundary (rank 0 validates)
+                order = self._plan.loader.epoch_order(epoch)
+                for step in range(self._plan.steps):
+                    t0 = time.perf_counter()
+                    self._write_partial(rank, order, epoch, step)
+                    arena.timers[rank, 0] += time.perf_counter() - t0
+                    if fence is not None:
+                        fence.seal_compute()
+                    self._sync(rank)  # grads ready
+                    self._sync(rank)  # weights + control updated
+                    if fence is not None:
+                        fence.open_compute()
+                    if arena.flag(SharedArena.CTRL_STOP):
+                        break
+                self._sync(rank)  # epoch boundary (rank 0 validates)
                 if arena.flag(SharedArena.CTRL_STOP):
                     break
         except BaseException:
-            arena.set_flag(SharedArena.CTRL_ABORT)
-            try:
-                self._barrier.abort()
-            except Exception:
-                pass
+            self._abort()
             traceback.print_exc()
             rc = 1
         finally:
@@ -321,7 +316,7 @@ class ParallelTrainer(Trainer):
         os._exit(rc)
 
     # ------------------------------------------------------------------ #
-    # rank 0
+    # rank 0: the parts of Trainer's loop that differ
     # ------------------------------------------------------------------ #
 
     def fit(
@@ -331,178 +326,97 @@ class ParallelTrainer(Trainer):
         epochs: int,
         verbose: bool = False,
     ) -> History:
-        """Train for up to ``epochs`` epochs across ``self.workers`` ranks."""
-        if epochs <= 0:
-            raise ValueError(f"epochs must be positive, got {epochs}")
+        """Train for up to ``epochs`` epochs across ``self.workers`` ranks.
+
+        The platform, loader and step geometry are checked before any
+        callback runs.
+        """
         if not parallel_supported():
             raise RuntimeError(
                 "ParallelTrainer requires the 'fork' start method "
                 "(POSIX); use Trainer on this platform"
             )
-        loader, ds, batch_size, transform, aug_seed = self._resolve_spec(train_loader)
-        m, n_micro, q, steps = self._geometry(batch_size, len(ds))
-        plane = self.model.weight_plane
-        if plane is None:
+        self._plan = self._make_plan(train_loader)
+        if self.model.weight_plane is None:
             raise RuntimeError("model must be finalized before training")
+        return super().fit(train_loader, val_data, epochs, verbose)
 
-        for cb in self.callbacks:
-            cb.on_train_begin(self)
-
+    @contextlib.contextmanager
+    def _session(self, epochs: int):
+        """Put the plane in a SharedArena and fork ranks ``1..N-1`` around the loop."""
         ctx = multiprocessing.get_context("fork")
-        arena = SharedArena(plane.size, self.workers)
+        arena = SharedArena(self.model.weight_plane.size, self.workers)
         self._arena = arena
         self._barrier = ctx.Barrier(self.workers)
         self._reduced = np.empty(arena.plane_size, dtype=np.float32)
         procs: list = []
-        failed: Exception | None = None
+        failed = False
         try:
             # Move the plane into the arena *before* forking so children
             # inherit parameters that already view shared memory, then
             # let the optimizer rebuild what keys on the old views.
             adopt_plane(self.model, arena.plane)
             self.optimizer.rebind_plane()
-
             for rank in range(1, self.workers):
-                proc = ctx.Process(
-                    target=self._child_main,
-                    args=(rank, loader, epochs, steps, batch_size, m, q, ds,
-                          transform, aug_seed),
-                    daemon=True,
-                )
+                proc = ctx.Process(target=self._child_main, args=(rank, epochs), daemon=True)
                 proc.start()
                 procs.append(proc)
-
-            self._rank0_loop(
-                loader, val_data, epochs, steps, batch_size, m, n_micro, q, ds,
-                transform, aug_seed, arena, verbose,
-            )
-        except BaseException as exc:
-            failed = exc
-            arena.set_flag(SharedArena.CTRL_ABORT)
-            try:
-                self._barrier.abort()
-            except Exception:
-                pass
+            self._fence = self._make_fence(0)
+            yield
+        except BaseException:
+            failed = True
+            self._abort()
             raise
         finally:
-            self._teardown(arena, procs, raising=failed is not None)
+            self._teardown(procs, raising=failed)
 
-        for cb in self.callbacks:
-            cb.on_train_end(self)
-        return self.history
+    def _train_epoch(self, train_loader, epoch: int) -> list[float]:
+        """Rank 0's lockstep steps for one epoch; returns their losses."""
+        plan = self._plan
+        arena = self._arena
+        fence = self._fence
+        order = plan.loader.epoch_order(epoch)
+        losses: list[float] = []
+        for step in range(plan.steps):
+            t0 = time.perf_counter()
+            with profiled("parallel.compute"):
+                self._write_partial(0, order, epoch, step)
+            arena.timers[0, 0] += time.perf_counter() - t0
+            if fence is not None:
+                fence.seal_compute()
+            self._sync(0)  # all partials written
+            if arena.flag(SharedArena.CTRL_ABORT):
+                raise RuntimeError("a data-parallel worker failed")
 
-    def _rank0_loop(
-        self, loader, val_data, epochs, steps, batch_size, m, n_micro, q, ds,
-        transform, aug_seed, arena, verbose,
-    ) -> None:
-        epochs_since_best = 0
-        scale = np.float32(n_micro)
-        fence = self._make_fence(arena, 0)
-        for epoch in range(epochs):
-            epoch_start = time.perf_counter()
-            if self.schedule is not None:
-                self.optimizer.lr = self.schedule(epoch)
-            for cb in self.callbacks:
-                cb.on_epoch_begin(self, epoch)
-
-            self.model.train()
-            order = loader.epoch_order(epoch)
-            stream = self._open_stream(
-                0, epoch, order, steps, batch_size, m, q, ds, transform, aug_seed
-            )
-            losses: list[float] = []
-            try:
-                for _step in range(steps):
-                    t0 = time.perf_counter()
-                    with profiled("parallel.compute"):
-                        self._write_partial(0, stream, q, arena)
-                    arena.timers[0, 0] += time.perf_counter() - t0
-                    if fence is not None:
-                        fence.seal_compute()
-                    self._sync(0, arena)  # all partials written
-                    if arena.flag(SharedArena.CTRL_ABORT):
-                        raise RuntimeError("a data-parallel worker failed")
-
-                    # Rank-ordered deterministic reduce, then one optimizer
-                    # step — DropBack's selection runs exactly here, once,
-                    # against the global gradient; its plane commit is the
-                    # broadcast.
-                    with profiled("parallel.reduce"):
-                        tree_sum(list(arena.grads), out=self._reduced)
-                        np.divide(self._reduced, scale, out=self._reduced)
-                    self.optimizer.load_flat_grad(self._reduced)
-                    for cb in self.callbacks:
-                        cb.on_backward_end(self, self.global_step)
-                    with profiled("trainer.optimizer_step"):
-                        self.optimizer.step()
-
-                    loss_val = tree_sum_scalars(arena.losses) / n_micro
-                    losses.append(loss_val)
-                    if self.stop_on_divergence and not np.isfinite(loss_val):
-                        self.history.diverged = True
-                        arena.set_flag(SharedArena.CTRL_DIVERGED)
-                        arena.set_flag(SharedArena.CTRL_STOP)
-                    else:
-                        for cb in self.callbacks:
-                            cb.on_step_end(self, self.global_step, loss_val)
-                        self.global_step += 1
-                    self._sync(0, arena)  # release workers into the next step
-                    if fence is not None:
-                        fence.open_compute()
-                    if arena.flag(SharedArena.CTRL_STOP):
-                        break
-            finally:
-                if hasattr(stream, "close"):
-                    stream.close()
-
-            if not self.history.diverged:
-                with profiled("trainer.evaluate"):
-                    val_acc = evaluate(self.model, val_data)
-                logs: dict = {
-                    "epoch": epoch,
-                    "train_loss": float(np.mean(losses)) if losses else float("nan"),
-                    "val_accuracy": val_acc,
-                    "lr": self.optimizer.lr,
-                }
-                total_swaps = getattr(self.optimizer, "total_swaps", None)
-                if total_swaps is not None:
-                    logs["total_swaps"] = int(total_swaps)
-                self.history.train_loss.append(logs["train_loss"])
-                self.history.val_accuracy.append(val_acc)
-                self.history.lr.append(self.optimizer.lr)
-                self.history.epoch_seconds.append(time.perf_counter() - epoch_start)
-
-                if val_acc > self.history.best_val_accuracy:
-                    self.history.best_val_accuracy = val_acc
-                    self.history.best_epoch = epoch
-                    epochs_since_best = 0
-                else:
-                    epochs_since_best += 1
-
-                for cb in self.callbacks:
-                    cb.on_epoch_end(self, epoch, logs)
-                if verbose:
-                    print(
-                        f"epoch {epoch:3d}  loss {logs['train_loss']:.4f}  "
-                        f"val_acc {val_acc:.4f}  lr {self.optimizer.lr:.4f}  "
-                        f"workers {self.workers}"
-                    )
-
-                if self.patience is not None and epochs_since_best >= self.patience:
-                    self.history.stopped_early = True
-                    arena.set_flag(SharedArena.CTRL_STOP)
-                if epoch == epochs - 1:
-                    arena.set_flag(SharedArena.CTRL_STOP)
-
-            self._sync(0, arena)  # epoch boundary: workers read the verdict
+            # Rank-ordered deterministic reduce, then one optimizer step —
+            # DropBack's selection runs exactly here, once, against the
+            # global gradient; its plane commit is the broadcast.
+            with profiled("parallel.reduce"):
+                tree_sum(list(arena.grads), out=self._reduced)
+                np.divide(self._reduced, np.float32(plan.n_micro), out=self._reduced)
+            self.optimizer.load_flat_grad(self._reduced)
+            losses.append(tree_sum_scalars(arena.losses) / plan.n_micro)
+            if not self._finish_step(losses[-1]):
+                arena.set_flag(SharedArena.CTRL_DIVERGED)
+                arena.set_flag(SharedArena.CTRL_STOP)
+            self._sync(0)  # release workers into the next step
+            if fence is not None:
+                fence.open_compute()
             if arena.flag(SharedArena.CTRL_STOP):
                 break
+        return losses
+
+    def _end_epoch(self, stop: bool) -> None:
+        if stop:
+            self._arena.set_flag(SharedArena.CTRL_STOP)
+        self._sync(0)  # epoch boundary: workers read the verdict
 
     # ------------------------------------------------------------------ #
     # teardown
     # ------------------------------------------------------------------ #
 
-    def _teardown(self, arena: SharedArena, procs, raising: bool) -> None:
+    def _teardown(self, procs, raising: bool) -> None:
+        arena = self._arena
         child_error = False
         for proc in procs:
             proc.join(timeout=10.0)
@@ -532,6 +446,7 @@ class ParallelTrainer(Trainer):
         arena.destroy()
         self._arena = None
         self._barrier = None
+        self._fence = None
         self._reduced = None
 
         if child_error and not raising:

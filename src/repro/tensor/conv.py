@@ -8,9 +8,8 @@ forward used) and this module only wires the result into the tape.  The
 verbatim; ``fast`` runs the same math on pooled, persistent workspaces
 with a batch-flattened GEMM for small spatial outputs.
 
-All tensors are NCHW.  The workspace pool itself lives in
-:mod:`repro.tensor.workspace` and is re-exported here for callers (and
-tests) that predate the split.
+All tensors are NCHW.  The workspace pool lives in
+:mod:`repro.tensor.workspace`.
 """
 
 from __future__ import annotations
@@ -21,27 +20,12 @@ from repro.profile import profiled
 from repro.tensor import kernels
 from repro.tensor.tensor import Tensor
 
-# Re-exported pool API (the pool predates the kernels package and the
-# sanitizer/tests address it as repro.tensor.conv.*).
-from repro.tensor.workspace import (  # noqa: F401 - back-compat re-exports
-    _POISONED,
-    _WORKSPACE,
-    _WORKSPACE_MAX_PER_KEY,
-    WorkspaceUseAfterReleaseError,
-    _acquire_workspace,
-    clear_workspace_cache,
-    poison_free_workspaces,
-)
-
 __all__ = [
     "conv2d",
     "max_pool2d",
     "avg_pool2d",
     "global_avg_pool2d",
     "conv_out_size",
-    "clear_workspace_cache",
-    "poison_free_workspaces",
-    "WorkspaceUseAfterReleaseError",
 ]
 
 

@@ -132,8 +132,3 @@ def acquire_workspace(shape: tuple[int, ...], dtype, zero: bool = True) -> np.nd
             pool.append(buf)
         add_counter("conv.workspace_misses")
         return buf
-
-
-# Backwards-compatible private alias (pre-kernel-dispatch call sites and
-# tests import the underscored name from repro.tensor.conv).
-_acquire_workspace = acquire_workspace

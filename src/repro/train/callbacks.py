@@ -118,8 +118,8 @@ class WeightSnapshotCallback(Callback):
 class ProfilerCallback(Callback):
     """Trace a training run through the :mod:`repro.profile` registry.
 
-    On ``on_train_begin`` the callback (optionally) enables profiling and
-    snapshots the registry; on ``on_train_end`` it folds the *delta* — only
+    On ``on_train_begin`` the callback enables profiling and snapshots the
+    registry; on ``on_train_end`` it folds the *delta* — only
     what this run recorded — into a :class:`~repro.profile.PerfReport`
     available as :attr:`report`, restoring the previous enable state.  Epoch
     wall time and step counts are traced on the way (``epoch_trace`` in the
@@ -130,10 +130,6 @@ class ProfilerCallback(Callback):
     ----------
     report_name:
         Name stamped into the report (and the default file stem).
-    enable:
-        Turn profiling on for the duration of the run (default True).  Pass
-        False to only *observe* — the callback then reports whatever ops
-        record under the caller's own enable window.
     emit_path:
         Optional path; when given, the report is written there as JSON on
         ``on_train_end``.
@@ -144,12 +140,10 @@ class ProfilerCallback(Callback):
     def __init__(
         self,
         report_name: str = "train",
-        enable: bool = True,
         emit_path: str | Path | None = None,
         meta: dict | None = None,
     ):
         self.report_name = report_name
-        self.enable = bool(enable)
         self.emit_path = Path(emit_path) if emit_path is not None else None
         self.meta = dict(meta or {})
         self.report: PerfReport | None = None
@@ -163,8 +157,7 @@ class ProfilerCallback(Callback):
 
     def on_train_begin(self, trainer: "Trainer") -> None:
         self._was_enabled = is_enabled()
-        if self.enable:
-            enable()
+        enable()
         self._baseline = snapshot()
         self.epoch_trace = []
         self._steps = 0
@@ -224,7 +217,7 @@ class ProfilerCallback(Callback):
         self.report = PerfReport(
             name=self.report_name, ops=ops, counters=counters, meta=meta
         )
-        if self.enable and not self._was_enabled:
+        if not self._was_enabled:
             disable()
         if self.emit_path is not None:
             self.report.write(self.emit_path)

@@ -8,6 +8,7 @@ improvement").  Instrumentation hooks in via :mod:`repro.train.callbacks`.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import time
 from dataclasses import dataclass, field
@@ -122,7 +123,14 @@ class Trainer:
             raise ValueError(f"epochs must be positive, got {epochs}")
         for cb in self.callbacks:
             cb.on_train_begin(self)
+        with self._session(epochs):
+            self._run_epochs(train_loader, val_data, epochs, verbose)
+        for cb in self.callbacks:
+            cb.on_train_end(self)
+        return self.history
 
+    def _run_epochs(self, train_loader, val_data, epochs: int, verbose: bool) -> None:
+        """The epoch loop: schedule, steps, validation, best epoch, patience."""
         epochs_since_best = 0
         for epoch in range(epochs):
             epoch_start = time.perf_counter()
@@ -132,30 +140,10 @@ class Trainer:
                 cb.on_epoch_begin(self, epoch)
 
             self.model.train()
-            losses = []
-            for xb, yb in train_loader:
-                self.optimizer.zero_grad()
-                with profiled("trainer.forward"):
-                    logits = self.model(Tensor(xb))
-                    loss = self.loss_fn(logits, yb)
-                with profiled("trainer.backward"):
-                    loss.backward()
-                for cb in self.callbacks:
-                    cb.on_backward_end(self, self.global_step)
-                with profiled("trainer.optimizer_step"):
-                    self.optimizer.step()
-                loss_val = loss.item()
-                losses.append(loss_val)
-                if self.stop_on_divergence and not np.isfinite(loss_val):
-                    self.history.diverged = True
-                    break
-                for cb in self.callbacks:
-                    cb.on_step_end(self, self.global_step, loss_val)
-                self.global_step += 1
+            losses = self._train_epoch(train_loader, epoch)
             if self.history.diverged:
-                for cb in self.callbacks:
-                    cb.on_train_end(self)
-                return self.history
+                self._end_epoch(stop=True)
+                break
 
             with profiled("trainer.evaluate"):
                 val_acc = evaluate(self.model, val_data)
@@ -190,10 +178,50 @@ class Trainer:
                     f"val_acc {val_acc:.4f}  lr {self.optimizer.lr:.4f}"
                 )
 
-            if self.patience is not None and epochs_since_best >= self.patience:
+            stop = self.patience is not None and epochs_since_best >= self.patience
+            if stop:
                 self.history.stopped_early = True
+            self._end_epoch(stop)
+            if stop:
                 break
 
+    def _train_epoch(self, train_loader, epoch: int) -> list[float]:
+        """Run one epoch of steps; return their losses (cut short on divergence)."""
+        losses = []
+        for xb, yb in train_loader:
+            self.optimizer.zero_grad()
+            with profiled("trainer.forward"):
+                logits = self.model(Tensor(xb))
+                loss = self.loss_fn(logits, yb)
+            with profiled("trainer.backward"):
+                loss.backward()
+            losses.append(loss.item())
+            if not self._finish_step(losses[-1]):
+                break
+        return losses
+
+    def _finish_step(self, loss: float) -> bool:
+        """The tail of every step, once the step's gradients are in place.
+
+        Returns ``False`` when the loss is non-finite under
+        ``stop_on_divergence``: the run is marked diverged, and the step
+        fires no ``on_step_end`` and does not advance ``global_step``.
+        """
         for cb in self.callbacks:
-            cb.on_train_end(self)
-        return self.history
+            cb.on_backward_end(self, self.global_step)
+        with profiled("trainer.optimizer_step"):
+            self.optimizer.step()
+        if self.stop_on_divergence and not np.isfinite(loss):
+            self.history.diverged = True
+            return False
+        for cb in self.callbacks:
+            cb.on_step_end(self, self.global_step, loss)
+        self.global_step += 1
+        return True
+
+    def _session(self, epochs: int) -> contextlib.AbstractContextManager:
+        """Context held around the epoch loop; worker processes live here."""
+        return contextlib.nullcontext()
+
+    def _end_epoch(self, stop: bool) -> None:
+        """Epoch boundary, after the verdict whether training stops here."""

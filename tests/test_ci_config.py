@@ -275,6 +275,14 @@ class TestKernelGateWiring:
         )
         assert stash < bench < gate
 
+    def test_bench_pins_blas_threads(self, workflow):
+        # The committed baseline was measured on one CPU; an unpinned BLAS
+        # would make the per-op ratios and fast speedups incomparable.
+        steps = workflow["jobs"]["bench-smoke"]["steps"]
+        bench = next(s for s in steps if "repro kernels --bench" in s.get("run", ""))
+        assert bench["env"]["OPENBLAS_NUM_THREADS"] == "1"
+        assert bench["env"]["OMP_NUM_THREADS"] == "1"
+
     def test_gate_normalizes_by_reference_and_gates_speedups(self, workflow):
         runs = " ".join(s.get("run", "") for s in workflow["jobs"]["bench-smoke"]["steps"])
         assert "--normalize kernels.conv2d_forward.reference" in runs

@@ -30,11 +30,9 @@ class TestParser:
 
     def test_train_parallel_knobs(self):
         args = build_parser().parse_args(["train"])
-        assert args.workers == 1 and args.microbatch is None and args.prefetch == 2
-        args = build_parser().parse_args(
-            ["train", "--workers", "2", "--microbatch", "16", "--prefetch", "0"]
-        )
-        assert (args.workers, args.microbatch, args.prefetch) == (2, 16, 0)
+        assert args.workers == 1 and args.microbatch is None
+        args = build_parser().parse_args(["train", "--workers", "2", "--microbatch", "16"])
+        assert (args.workers, args.microbatch) == (2, 16)
 
 
 class TestCommands:

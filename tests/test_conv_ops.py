@@ -178,7 +178,7 @@ class TestWorkspaceCache:
     def test_col2im_reuses_cached_workspace(self, rng):
         """Repeated backward passes hit the shape-keyed workspace pool."""
         from repro import profile
-        from repro.tensor.conv import clear_workspace_cache
+        from repro.tensor.workspace import clear_workspace_cache
 
         clear_workspace_cache()
         was_enabled = profile.is_enabled()
@@ -205,7 +205,7 @@ class TestWorkspaceCache:
         """A gradient that outlives its backward pass must not be clobbered
         by a later conv backward reusing the same-shape workspace."""
         from repro import profile
-        from repro.tensor.conv import clear_workspace_cache
+        from repro.tensor.workspace import clear_workspace_cache
 
         clear_workspace_cache()
         was_enabled = profile.is_enabled()
@@ -236,7 +236,7 @@ class TestPoolWorkspace:
         the same shape must climb ``conv.workspace_hits``."""
         from repro import profile
         from repro.tensor import kernels, no_grad
-        from repro.tensor.conv import clear_workspace_cache
+        from repro.tensor.workspace import clear_workspace_cache
 
         clear_workspace_cache()
         was_enabled = profile.is_enabled()
@@ -262,7 +262,7 @@ class TestPoolWorkspace:
     @pytest.mark.parametrize("pool_fn", [max_pool2d, avg_pool2d])
     def test_pool_backward_reuses_cached_workspace(self, rng, pool_fn):
         from repro import profile
-        from repro.tensor.conv import clear_workspace_cache
+        from repro.tensor.workspace import clear_workspace_cache
 
         clear_workspace_cache()
         was_enabled = profile.is_enabled()
@@ -289,7 +289,7 @@ class TestPoolWorkspace:
     def test_pool_workspace_aliasing_safety(self, rng, pool_fn):
         """A pooling gradient that outlives its backward pass must not be
         clobbered by a later same-shape backward (refcount guard)."""
-        from repro.tensor.conv import clear_workspace_cache
+        from repro.tensor.workspace import clear_workspace_cache
 
         clear_workspace_cache()
         try:
@@ -305,7 +305,7 @@ class TestPoolWorkspace:
     @pytest.mark.parametrize("pool_fn", [max_pool2d, avg_pool2d])
     def test_pool_gradients_unchanged_by_pooling_buffers(self, rng, pool_fn):
         """Workspace reuse must be value-transparent vs a cold cache."""
-        from repro.tensor.conv import clear_workspace_cache
+        from repro.tensor.workspace import clear_workspace_cache
 
         grads = []
         for _ in range(2):

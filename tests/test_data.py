@@ -115,7 +115,7 @@ class TestDataLoader:
         # (seed, epoch) fully determines the permutation: calling in any
         # order, repeatedly, or from a fresh loader gives the same answer.
         # This is what lets parallel ranks derive the batch sequence
-        # independently and prefetched iteration match synchronous.
+        # independently.
         dl = DataLoader(self._ds(20), 4, shuffle=True, seed=7)
         o1 = dl.epoch_order(1)
         o0 = dl.epoch_order(0)

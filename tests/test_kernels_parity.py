@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.tensor import Tensor, gradcheck, kernels
-from repro.tensor.conv import clear_workspace_cache
+from repro.tensor.workspace import clear_workspace_cache
 from repro.tensor.kernels import fast as fast_mod
 from repro.tensor.kernels import registry
 

@@ -10,17 +10,19 @@ so the plane/pool/determinism tripwires are armed throughout.
 
 from __future__ import annotations
 
+import multiprocessing
+from multiprocessing import shared_memory
+
 import numpy as np
 import pytest
 
 from repro.analyze.sanitize import check_plane_integrity
 from repro.core import DropBack
-from repro.data import DataLoader, Dataset
+from repro.data import AugmentedLoader, DataLoader, Dataset
 from repro.models import mlp
 from repro.optim import SGD
 from repro.parallel import (
     ParallelTrainer,
-    PrefetchLoader,
     SharedArena,
     adopt_plane,
     parallel_supported,
@@ -28,7 +30,8 @@ from repro.parallel import (
     tree_sum_range,
     tree_sum_scalars,
 )
-from repro.train import FreezeCallback, ProfilerCallback
+from repro.tensor import cross_entropy
+from repro.train import Callback, FreezeCallback, LambdaCallback, ProfilerCallback, Trainer
 
 pytestmark = pytest.mark.skipif(
     not parallel_supported(), reason="requires the POSIX fork start method"
@@ -164,63 +167,38 @@ class TestAdoptPlane:
             adopt_plane(model, np.zeros(model.num_parameters(), dtype=np.float64))
 
 
-class TestPrefetchLoader:
-    def test_yields_identical_batches(self):
-        ds = _toy_data(48)
-        sync = list(DataLoader(ds, 16, seed=5))
-        pre = list(PrefetchLoader(DataLoader(ds, 16, seed=5), depth=2))
-        assert len(sync) == len(pre)
-        for (xs, ys), (xp, yp) in zip(sync, pre):
-            assert np.array_equal(xs, xp) and np.array_equal(ys, yp)
-
-    def test_len_passthrough(self):
-        loader = DataLoader(_toy_data(48), 16)
-        assert len(PrefetchLoader(loader)) == len(loader)
-
-    def test_propagates_producer_exception(self):
-        def boom():
-            yield 1
-            raise RuntimeError("producer failed")
-
-        it = iter(PrefetchLoader(boom()))
-        assert next(it) == 1
-        with pytest.raises(RuntimeError, match="producer failed"):
-            for _ in it:
-                pass
-
-    def test_early_abandon_does_not_hang(self):
-        # Break mid-iteration with a full queue; generator close must
-        # stop the producer thread promptly.
-        loader = DataLoader(_toy_data(64), 4, seed=2)
-        for i, _ in enumerate(PrefetchLoader(loader, depth=2)):
-            if i == 1:
-                break
-
-
 def _fit(
-    workers, opt="dropback", seed=3, freeze=None, prefetch=2, epochs=2,
-    sanitize=True,
+    workers, opt="dropback", seed=3, freeze=None, epochs=2, sanitize=True,
+    callbacks=(), transform=None, **kwargs,
 ):
-    """Train a tiny MLP; return (plane copy, history, trainer)."""
+    """Train a tiny MLP; return (plane copy, history, trainer).
+
+    ``workers=0`` trains with the serial :class:`Trainer` instead, and a
+    ``transform`` wraps the loader in an :class:`AugmentedLoader`.
+    """
     ds = _toy_data(64, seed=0)
     model = mlp(4, (16,), 2).finalize(seed)
     if opt == "dropback":
         optimizer = DropBack(model, k=max(1, model.num_parameters() // 5), lr=0.2)
     else:
         optimizer = SGD(model, lr=0.2)
-    callbacks = [FreezeCallback(freeze)] if freeze else None
-    trainer = ParallelTrainer(
-        model,
-        optimizer,
-        workers=workers,
-        microbatch=4,
-        prefetch=prefetch,
-        callbacks=callbacks,
-        sanitize=sanitize,
-    )
-    history = trainer.fit(
-        DataLoader(ds, 16, seed=1, drop_last=True), ds, epochs=epochs
-    )
+    callbacks = ([FreezeCallback(freeze)] if freeze else []) + list(callbacks)
+    if workers:
+        trainer = ParallelTrainer(
+            model,
+            optimizer,
+            workers=workers,
+            microbatch=4,
+            callbacks=callbacks,
+            sanitize=sanitize,
+            **kwargs,
+        )
+    else:
+        trainer = Trainer(model, optimizer, callbacks=callbacks, sanitize=sanitize, **kwargs)
+    loader = DataLoader(ds, 16, seed=1, drop_last=True)
+    if transform is not None:
+        loader = AugmentedLoader(loader, transform, seed=5)
+    history = trainer.fit(loader, ds, epochs=epochs)
     return model.weight_plane.copy(), history, trainer
 
 
@@ -262,11 +240,6 @@ class TestParallelTrainerDeterminism:
         assert hist_s.train_loss == hist_u.train_loss
         assert hist_s.val_accuracy == hist_u.val_accuracy
 
-    def test_prefetch_depth_does_not_change_results(self):
-        plane_on, _, _ = _fit(2, prefetch=2)
-        plane_off, _, _ = _fit(2, prefetch=0)
-        assert plane_on.tobytes() == plane_off.tobytes()
-
 
 class TestParallelTrainerMechanics:
     def test_plane_restored_to_heap_after_fit(self):
@@ -297,6 +270,116 @@ class TestParallelTrainerMechanics:
     def test_training_learns(self):
         _, hist, _ = _fit(2, epochs=6)
         assert hist.best_val_accuracy > 0.8
+
+    def test_augmented_loader_identical_across_worker_counts(self):
+        # Each rank augments its own microbatches inline, from draws keyed
+        # by (seed, epoch, step, global microbatch index).
+        def jitter(x, rng):
+            return x + rng.normal(scale=0.3, size=x.shape).astype(np.float32)
+
+        plane_1, hist_1, _ = _fit(1, transform=jitter, epochs=3)
+        plane_2, hist_2, _ = _fit(2, transform=jitter, epochs=3)
+        plane_plain, _, _ = _fit(2, epochs=3)
+        assert plane_1.tobytes() == plane_2.tobytes()
+        assert hist_1.train_loss == hist_2.train_loss
+        assert plane_1.tobytes() != plane_plain.tobytes()
+
+
+class _Recorder(Callback):
+    """Record every hook as ``(hook, epoch, step)`` and keep each epoch's logs."""
+
+    def __init__(self):
+        self.events: list[tuple] = []
+        self.logs: list[dict] = []
+        self._epoch = None
+
+    def on_train_begin(self, trainer):
+        self.events.append(("train_begin", None, None))
+
+    def on_epoch_begin(self, trainer, epoch):
+        self._epoch = epoch
+        self.events.append(("epoch_begin", epoch, None))
+
+    def on_backward_end(self, trainer, step):
+        self.events.append(("backward_end", self._epoch, step))
+
+    def on_step_end(self, trainer, step, loss):
+        self.events.append(("step_end", self._epoch, step))
+
+    def on_epoch_end(self, trainer, epoch, logs):
+        self.events.append(("epoch_end", epoch, None))
+        self.logs.append(logs)
+
+    def on_train_end(self, trainer):
+        self.events.append(("train_end", None, None))
+
+
+def _nan_loss_from_call(calls):
+    """Cross-entropy plus a NaN constant from call ``calls`` on, per process.
+
+    The constant has no gradient, so the sanitizer's gradient tripwire
+    stays quiet and the divergence check is what stops the run.
+    """
+    seen = [0]
+
+    def loss_fn(logits, labels):
+        seen[0] += 1
+        loss = cross_entropy(logits, labels)
+        return loss + float("nan") if seen[0] > calls else loss
+
+    return loss_fn
+
+
+class TestSharedEpochLoop:
+    """ParallelTrainer runs Trainer's epoch loop; rank 0 differs only in its step."""
+
+    def test_callback_stream_and_logs_match_trainer(self):
+        runs = []
+        for workers in (0, 1, 2):
+            rec = _Recorder()
+            _fit(workers, freeze=1, epochs=2, callbacks=[rec])
+            runs.append((rec.events, [sorted(logs) for logs in rec.logs]))
+        assert runs[0] == runs[1] == runs[2]
+        events, log_keys = runs[0]
+        assert events[0] == ("train_begin", None, None)
+        assert events[-1] == ("train_end", None, None)
+        assert [e for e in events if e[0] == "step_end"] == [
+            ("step_end", epoch, step)
+            for epoch in range(2)
+            for step in range(4 * epoch, 4 * epoch + 4)
+        ]
+        assert "froze_tracked_set" in log_keys[0]
+        assert {"epoch", "train_loss", "val_accuracy", "lr", "total_swaps"} <= set(log_keys[1])
+
+    def test_patience_stops_after_the_same_epoch(self):
+        _, hist_1, _ = _fit(1, epochs=12, patience=2)
+        _, hist_2, _ = _fit(2, epochs=12, patience=2)
+        assert hist_1.stopped_early and hist_1.epochs_run < 12
+        same = dict(vars(hist_1), epoch_seconds=None)
+        assert same == dict(vars(hist_2), epoch_seconds=None)
+
+    def test_divergence_ends_the_run_and_the_ranks(self):
+        rec = _Recorder()
+        segments: set[str] = set()
+        spy = LambdaCallback(
+            on_step_end=lambda trainer, step, loss: segments.add(trainer._arena.shm.name)
+        )
+        # Two ranks, two microbatches each per step: the loss turns NaN at
+        # global step 6, the third step of epoch 1.
+        _, hist, trainer = _fit(
+            2, epochs=3, callbacks=[rec, spy], loss_fn=_nan_loss_from_call(12)
+        )
+        assert hist.diverged and hist.epochs_run == 1
+        assert trainer.global_step == 6
+        # The diverged step ends before on_step_end, and the run ends with it.
+        assert rec.events[-3:] == [
+            ("step_end", 1, 5), ("backward_end", 1, 6), ("train_end", None, None),
+        ]
+        assert rec.events.count(("train_end", None, None)) == 1
+        assert multiprocessing.active_children() == []
+        assert len(segments) == 1
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=segments.pop())
 
 
 class TestParallelTrainerValidation:

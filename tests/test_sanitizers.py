@@ -37,16 +37,16 @@ from repro.nn import BatchNorm1d, Linear, ReLU, Sequential
 from repro.core.dropback import DropBack
 from repro.optim import SGD
 from repro.prune.slimming import bn_gammas, prune_channels
-from repro.tensor import conv
+from repro.tensor import workspace
 from repro.train import Trainer
 
 
 @pytest.fixture(autouse=True)
 def _clean_pool():
     """Every test starts and ends without poisoned buffers."""
-    conv.clear_workspace_cache()
+    workspace.clear_workspace_cache()
     yield
-    conv.clear_workspace_cache()
+    workspace.clear_workspace_cache()
 
 
 def _toy_data(n=128, seed=0):
@@ -136,41 +136,41 @@ class TestWorkspacePoisoning:
 
     def _free_buffer(self) -> tuple:
         """Put one released float32 buffer in the pool, return its key."""
-        buf = conv._acquire_workspace(self.SHAPE, np.float32)
+        buf = workspace.acquire_workspace(self.SHAPE, np.float32)
         key = (self.SHAPE, np.dtype(np.float32).str)
-        assert any(b is buf for b in conv._WORKSPACE[key])
+        assert any(b is buf for b in workspace._WORKSPACE[key])
         del buf  # release: pool holds the only reference now
         return key
 
     def test_poison_fills_free_buffers_with_nan(self):
         key = self._free_buffer()
-        assert conv.poison_free_workspaces() >= 1
-        assert np.isnan(conv._WORKSPACE[key][0]).all()
+        assert workspace.poison_free_workspaces() >= 1
+        assert np.isnan(workspace._WORKSPACE[key][0]).all()
 
     def test_clean_reacquire_after_poison_passes(self):
         self._free_buffer()
-        conv.poison_free_workspaces()
-        buf = conv._acquire_workspace(self.SHAPE, np.float32)
+        workspace.poison_free_workspaces()
+        buf = workspace.acquire_workspace(self.SHAPE, np.float32)
         assert not np.isnan(buf).any()  # zeroed on hand-out
 
     def test_use_after_release_write_is_caught(self):
         key = self._free_buffer()
-        conv.poison_free_workspaces()
+        workspace.poison_free_workspaces()
         # Seeded fault: a stale reference writes into the released buffer.
-        conv._WORKSPACE[key][0][0, 0] = 1.0
-        with pytest.raises(conv.WorkspaceUseAfterReleaseError, match="after release"):
-            conv._acquire_workspace(self.SHAPE, np.float32)
+        workspace._WORKSPACE[key][0][0, 0] = 1.0
+        with pytest.raises(workspace.WorkspaceUseAfterReleaseError, match="after release"):
+            workspace.acquire_workspace(self.SHAPE, np.float32)
 
     def test_held_buffers_are_not_poisoned(self):
-        held = conv._acquire_workspace(self.SHAPE, np.float32)
-        conv.poison_free_workspaces()
+        held = workspace.acquire_workspace(self.SHAPE, np.float32)
+        workspace.poison_free_workspaces()
         assert not np.isnan(held).any()
 
     def test_clear_cache_discards_poison_state(self):
         self._free_buffer()
-        conv.poison_free_workspaces()
-        conv.clear_workspace_cache()
-        buf = conv._acquire_workspace(self.SHAPE, np.float32)
+        workspace.poison_free_workspaces()
+        workspace.clear_workspace_cache()
+        buf = workspace.acquire_workspace(self.SHAPE, np.float32)
         assert not np.isnan(buf).any()
 
     def test_use_after_release_caught_through_pooled_conv_path(self):
@@ -185,13 +185,13 @@ class TestWorkspacePoisoning:
         out, ctx = fast.conv2d_forward(x, w, None, 1, 1, 6, 6)
         del out, ctx
         gc.collect()
-        assert conv.poison_free_workspaces() >= 1
+        assert workspace.poison_free_workspaces() >= 1
         # Seeded fault: overwrite one element of every free poisoned buffer.
-        for pool in conv._WORKSPACE.values():
+        for pool in workspace._WORKSPACE.values():
             for buf in pool:
                 if np.isnan(buf).all():
                     buf.reshape(-1)[0] = 1.0
-        with pytest.raises(conv.WorkspaceUseAfterReleaseError, match="after release"):
+        with pytest.raises(workspace.WorkspaceUseAfterReleaseError, match="after release"):
             fast.conv2d_forward(x, w, None, 1, 1, 6, 6)
 
 
