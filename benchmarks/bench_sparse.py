@@ -33,7 +33,6 @@ import argparse
 import os
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 _here = Path(__file__).resolve().parent
@@ -45,7 +44,7 @@ for p in (_src, _here):
 import numpy as np  # noqa: E402
 
 from common import RESULTS_DIR, synth_sparse_checkpoint  # noqa: E402
-from repro.profile import OpStat, PerfReport  # noqa: E402
+from repro.profile import OpStat, PerfReport, timeit  # noqa: E402
 from repro.serve import ModelRegistry  # noqa: E402
 from repro.serve.loadgen import BENCH_MODELS  # noqa: E402
 from repro.tensor.kernels import fast, sparse  # noqa: E402
@@ -54,19 +53,6 @@ from repro.tensor.kernels import fast, sparse  # noqa: E402
 MATMUL_DENSITY = 0.10
 #: 95% sparse — the serving regime named in the acceptance criteria.
 SERVE_DENSITY = 0.05
-
-
-def _best_of(fn, rounds: int, warmup: int = 2) -> float:
-    """Best wall time over ``rounds`` (min is the noise-robust statistic
-    for a fixed workload — anything slower is scheduler interference)."""
-    for _ in range(warmup):
-        fn()
-    best = float("inf")
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
 
 
 def bench_matmul(size: int, batch: int, rounds: int, seed: int) -> dict:
@@ -80,8 +66,10 @@ def bench_matmul(size: int, batch: int, rounds: int, seed: int) -> dict:
 
     keys = sparse.register_weight(w, flat)
     try:
-        dense_s = _best_of(lambda: fast.matmul(x, w.T), rounds)
-        sparse_s = _best_of(lambda: sparse.matmul(x, w.T), rounds)
+        # Best of rounds: the min is the noise-robust statistic for a fixed
+        # workload; anything slower is scheduler interference.
+        dense_s = float(timeit(lambda: fast.matmul(x, w.T), rounds, warmup=2).min())
+        sparse_s = float(timeit(lambda: sparse.matmul(x, w.T), rounds, warmup=2).min())
     finally:
         sparse.invalidate(keys)
     return {"dense_s": dense_s, "sparse_s": sparse_s, "nnz": nnz}
@@ -107,8 +95,8 @@ def bench_registry(model_name: str, batch: int, rounds: int, seed: int) -> dict:
 
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((batch, 784)).astype(np.float32)
-    dense_s = _best_of(lambda: dense_h.forward(x), rounds)
-    packed_s = _best_of(lambda: packed_h.forward(x), rounds)
+    dense_s = float(timeit(lambda: dense_h.forward(x), rounds, warmup=2).min())
+    packed_s = float(timeit(lambda: packed_h.forward(x), rounds, warmup=2).min())
     parity = float(np.abs(dense_h.forward(x) - packed_h.forward(x)).max())
     return {
         "dense_s": dense_s,

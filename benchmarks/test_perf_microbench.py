@@ -17,6 +17,7 @@ from repro.core.selection import top_k_mask
 from repro.init import normal_at
 from repro.models import mnist_100_100, wrn_10_2
 from repro.optim import SGD
+from repro.profile import timeit
 from repro.tensor import Tensor, conv2d, cross_entropy
 
 
@@ -96,18 +97,12 @@ def test_perf_topk_selection(benchmark):
 
 def test_perf_overhead_summary(mlp_batch, benchmark):
     """DropBack's software overhead over SGD stays within a small factor."""
-    import time
-
     x, y = mlp_batch
 
     def time_steps(opt_factory, n=20):
         model = mnist_100_100().finalize(1)
         opt = opt_factory(model)
-        _train_step(model, opt, x, y)  # warm
-        t0 = time.perf_counter()
-        for _ in range(n):
-            _train_step(model, opt, x, y)
-        return (time.perf_counter() - t0) / n
+        return timeit(lambda: _train_step(model, opt, x, y), n, warmup=1).mean()
 
     sgd_t = time_steps(lambda m: SGD(m, lr=0.4))
     db_t = time_steps(lambda m: DropBack(m, k=9_000, lr=0.4))
@@ -141,8 +136,6 @@ def test_perf_dropback_step_paths():
     committed baseline CI gates on (normalized by
     ``dropback.reference_step`` so the comparison is machine-independent).
     """
-    import time
-
     from common import profiled_run
 
     k = 1_500
@@ -151,14 +144,11 @@ def test_perf_dropback_step_paths():
     set_grads = _synthetic_grad_setter(model)
 
     def time_per_step(fn, rounds, warmup=5):
-        for _ in range(warmup):
+        def step():
             set_grads()
             fn()
-        t0 = time.perf_counter()
-        for _ in range(rounds):
-            set_grads()
-            fn()
-        return (time.perf_counter() - t0) / rounds
+
+        return float(timeit(step, rounds, warmup).mean())
 
     step_t = time_per_step(opt.step, rounds=50)
     reference_t = time_per_step(opt.reference_step, rounds=50)

@@ -36,7 +36,6 @@ at runtime under ``REPRO_SANITIZE=1``.
 
 from __future__ import annotations
 
-import gc
 import multiprocessing
 import sys
 from multiprocessing import shared_memory
@@ -147,10 +146,6 @@ class SharedArena:
         training teardown.
         """
         self._drop_views()
-        # Autograd graphs are cyclic, so the last step's tensors — which
-        # hold plane views — may be awaiting garbage collection rather than
-        # refcount release; collect before unmapping.
-        gc.collect()
         try:
             self.shm.close()
         except BufferError:  # pragma: no cover - depends on caller refs

@@ -32,6 +32,7 @@ from repro.profile.core import (
     registry,
     reset,
     snapshot,
+    timeit,
 )
 from repro.profile.report import SCHEMA_VERSION, PerfReport
 
@@ -46,6 +47,7 @@ __all__ = [
     "add_counter",
     "snapshot",
     "reset",
+    "timeit",
     "PerfReport",
     "SCHEMA_VERSION",
 ]

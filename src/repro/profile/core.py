@@ -36,6 +36,7 @@ __all__ = [
     "add_counter",
     "snapshot",
     "reset",
+    "timeit",
 ]
 
 
@@ -151,6 +152,25 @@ def snapshot() -> dict:
 def reset() -> None:
     """Clear the global registry."""
     registry.reset()
+
+
+def timeit(fn, rounds: int, warmup: int) -> np.ndarray:
+    """Call ``fn()`` ``warmup`` times, then time ``rounds`` more calls.
+
+    Returns the wall seconds of each timed call as a float64 array; the
+    caller picks the statistic (min for a fixed workload, mean for a
+    steady-state rate).
+    """
+    if rounds < 1:
+        raise ValueError(f"rounds must be >= 1, got {rounds}")
+    for _ in range(warmup):
+        fn()
+    times = np.empty(rounds, dtype=np.float64)
+    for i in range(rounds):
+        t0 = perf_counter()
+        fn()
+        times[i] = perf_counter() - t0
+    return times
 
 
 class profiled:

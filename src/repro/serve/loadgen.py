@@ -40,7 +40,7 @@ from repro.data import DataLoader, synth_mnist
 from repro.models import lenet_300_100, mlp, mnist_100_100
 from repro.nn import Module
 from repro.optim import ConstantLR
-from repro.profile import PerfReport
+from repro.profile import PerfReport, timeit
 from repro.serve.registry import ModelRegistry
 from repro.serve.server import InferenceServer
 from repro.train import Trainer
@@ -153,11 +153,8 @@ def measure_single_forward(
     """Mean seconds of a bare single-sample forward (the latency anchor)."""
     handle = registry.acquire(digest)
     batch = sample[None]
-    handle.forward(batch)  # warm up (materialization, kernel caches)
-    t0 = time.perf_counter()
-    for _ in range(reps):
-        handle.forward(batch)
-    return (time.perf_counter() - t0) / reps
+    # One warm-up call pays for materialization and kernel caches.
+    return float(timeit(lambda: handle.forward(batch), reps, warmup=1).mean())
 
 
 def build_report(

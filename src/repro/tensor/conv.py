@@ -70,24 +70,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, pad:
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
-    def backward(g, out=None):
+    def backward(g):
         with profiled("conv2d.backward"):
-            gx, gw, gb = bwd(
-                g,
-                ctx,
-                x.requires_grad,
-                weight.requires_grad,
-                bias is not None and bias.requires_grad,
-            )
-            if gb is not None:
-                out._accumulate(bias, gb)
-            if gw is not None:
-                out._accumulate(weight, gw)
-            if gx is not None:
-                out._accumulate(x, gx)
+            # (gx, gw, gb); without a bias, gb is None and has no parent.
+            need_gb = bias is not None and bias.requires_grad
+            return bwd(g, ctx, x.requires_grad, weight.requires_grad, need_gb)
 
-    out = Tensor.from_op(out_data, parents, lambda g: backward(g, out))
-    return out
+    return Tensor.from_op(out_data, parents, backward)
 
 
 @profiled("pool.max.forward")
@@ -102,13 +91,11 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None) -> Tensor:
     _, bwd = kernels.resolve("max_pool2d_backward", backend)
     out_data, ctx = fwd(x.data, kernel, stride, oh, ow)
 
-    def backward(g, out=None):
-        if x.requires_grad:
-            with profiled("pool.max.backward"):
-                out._accumulate(x, bwd(g, ctx))
+    def backward(g):
+        with profiled("pool.max.backward"):
+            return (bwd(g, ctx),)
 
-    out = Tensor.from_op(out_data, (x,), lambda g: backward(g, out))
-    return out
+    return Tensor.from_op(out_data, (x,), backward)
 
 
 @profiled("pool.avg.forward")
@@ -123,13 +110,11 @@ def avg_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None) -> Tensor:
     _, bwd = kernels.resolve("avg_pool2d_backward", backend)
     out_data, ctx = fwd(x.data, kernel, stride, oh, ow)
 
-    def backward(g, out=None):
-        if x.requires_grad:
-            with profiled("pool.avg.backward"):
-                out._accumulate(x, bwd(g, ctx))
+    def backward(g):
+        with profiled("pool.avg.backward"):
+            return (bwd(g, ctx),)
 
-    out = Tensor.from_op(out_data, (x,), lambda g: backward(g, out))
-    return out
+    return Tensor.from_op(out_data, (x,), backward)
 
 
 @profiled("pool.gap.forward")
@@ -139,10 +124,8 @@ def global_avg_pool2d(x: Tensor) -> Tensor:
     out_data = x.data.mean(axis=(2, 3))
     inv = 1.0 / (h * w)
 
-    def backward(g, out=None):
-        if x.requires_grad:
-            # repro: noqa[RPA002] broadcast views are read-only; accumulate needs a real array
-            out._accumulate(x, np.broadcast_to(g[:, :, None, None] * inv, x.shape).copy())
+    def backward(g):
+        # repro: noqa[RPA002] broadcast views are read-only; a gradient must be writable
+        return (np.broadcast_to(g[:, :, None, None] * inv, x.shape).copy(),)
 
-    out = Tensor.from_op(out_data, (x,), lambda g: backward(g, out))
-    return out
+    return Tensor.from_op(out_data, (x,), backward)

@@ -53,16 +53,17 @@ def prelu(x: Tensor, slope: Tensor) -> Tensor:
         a = a.reshape((1, -1) + (1,) * (x.ndim - 2))
     out_data = np.where(pos, x.data, a * x.data)
 
-    def backward(g, out=None):
+    def backward(g):
+        gx = gs = None
         if x.requires_grad:
-            out._accumulate(x, np.where(pos, g, a * g))
+            gx = np.where(pos, g, a * g)
         if slope.requires_grad:
             # repro: noqa[RPA002] dtype harmonization before unbroadcast
             ga = np.where(pos, 0.0, g * x.data).astype(slope.dtype)
-            out._accumulate(slope, unbroadcast(ga, a.shape).reshape(slope.shape))
+            gs = unbroadcast(ga, a.shape).reshape(slope.shape)
+        return gx, gs
 
-    out = Tensor.from_op(out_data, (x, slope), lambda g: backward(g, out))
-    return out
+    return Tensor.from_op(out_data, (x, slope), backward)
 
 
 @profiled("dropout.forward")
@@ -74,14 +75,11 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True
         return x
     keep = 1.0 - p
     mask = (rng.random(x.shape) < keep).astype(x.dtype) / keep  # repro: noqa[RPA002]
-    out_data = x.data * mask
 
-    def backward(g, out=None):
-        if x.requires_grad:
-            out._accumulate(x, g * mask)
+    def backward(g):
+        return (g * mask,)
 
-    out = Tensor.from_op(out_data, (x,), lambda g: backward(g, out))
-    return out
+    return Tensor.from_op(x.data * mask, (x,), backward)
 
 
 @profiled("batch_norm.forward")
@@ -111,20 +109,13 @@ def batch_norm(
     _, bwd = kernels.resolve("batch_norm_backward", backend)
     out_data, ctx = fwd(x.data, g_, b_, mu, var, eps)
 
-    def backward(g, out=None):
+    def backward(g):
         with profiled("batch_norm.backward"):
-            gx, ggamma, gbeta = bwd(
+            return bwd(
                 g, ctx, axes, training, x.requires_grad, gamma.requires_grad, beta.requires_grad
             )
-            if ggamma is not None:
-                out._accumulate(gamma, ggamma)
-            if gbeta is not None:
-                out._accumulate(beta, gbeta)
-            if gx is not None:
-                out._accumulate(x, gx)
 
-    out = Tensor.from_op(out_data, (x, gamma, beta), lambda g: backward(g, out))
-    return out
+    return Tensor.from_op(out_data, (x, gamma, beta), backward)
 
 
 def _bn_stats(
@@ -167,13 +158,11 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     out_data = shifted - lse
 
-    def backward(g, out=None):
-        if x.requires_grad:
-            sm = np.exp(out_data)
-            out._accumulate(x, g - sm * g.sum(axis=axis, keepdims=True))
+    def backward(g):
+        sm = np.exp(out_data)
+        return (g - sm * g.sum(axis=axis, keepdims=True),)
 
-    out = Tensor.from_op(out_data, (x,), lambda g: backward(g, out))
-    return out
+    return Tensor.from_op(out_data, (x,), backward)
 
 
 @profiled("softmax.forward")
@@ -190,14 +179,12 @@ def nll_loss(log_probs: Tensor, targets: np.ndarray) -> Tensor:
     idx = (np.arange(n), targets)
     out_data = np.asarray(-log_probs.data[idx].mean(), dtype=log_probs.dtype)
 
-    def backward(g, out=None):
-        if log_probs.requires_grad:
-            full = np.zeros_like(log_probs.data)  # repro: noqa[RPA002] scatter target
-            full[idx] = -1.0 / n
-            out._accumulate(log_probs, full * g)
+    def backward(g):
+        full = np.zeros_like(log_probs.data)  # repro: noqa[RPA002] scatter target
+        full[idx] = -1.0 / n
+        return (full * g,)
 
-    out = Tensor.from_op(out_data, (log_probs,), lambda g: backward(g, out))
-    return out
+    return Tensor.from_op(out_data, (log_probs,), backward)
 
 
 @profiled("cross_entropy.forward")
@@ -218,14 +205,11 @@ def mse_loss(pred: Tensor, target: np.ndarray | Tensor) -> Tensor:
 def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
     """Leaky ReLU with a fixed negative slope."""
     pos = x.data > 0
-    out_data = np.where(pos, x.data, slope * x.data)
 
-    def backward(g, out=None):
-        if x.requires_grad:
-            out._accumulate(x, np.where(pos, g, slope * g))
+    def backward(g):
+        return (np.where(pos, g, slope * g),)
 
-    out = Tensor.from_op(out_data, (x,), lambda g: backward(g, out))
-    return out
+    return Tensor.from_op(np.where(pos, x.data, slope * x.data), (x,), backward)
 
 
 @profiled("elu.forward")
@@ -235,26 +219,20 @@ def elu(x: Tensor, alpha: float = 1.0) -> Tensor:
     exp_x = np.exp(np.minimum(x.data, 0.0))
     out_data = np.where(pos, x.data, alpha * (exp_x - 1.0))
 
-    def backward(g, out=None):
-        if x.requires_grad:
-            out._accumulate(x, np.where(pos, g, g * alpha * exp_x))
+    def backward(g):
+        return (np.where(pos, g, g * alpha * exp_x),)
 
-    out = Tensor.from_op(out_data, (x,), lambda g: backward(g, out))
-    return out
+    return Tensor.from_op(out_data, (x,), backward)
 
 
 @profiled("softplus.forward")
 def softplus(x: Tensor) -> Tensor:
     """Numerically stable ``log(1 + e^x)``."""
-    out_data = np.logaddexp(0.0, x.data)
+    def backward(g):
+        sig = 1.0 / (1.0 + np.exp(-x.data))
+        return (g * sig,)
 
-    def backward(g, out=None):
-        if x.requires_grad:
-            sig = 1.0 / (1.0 + np.exp(-x.data))
-            out._accumulate(x, g * sig)
-
-    out = Tensor.from_op(out_data, (x,), lambda g: backward(g, out))
-    return out
+    return Tensor.from_op(np.logaddexp(0.0, x.data), (x,), backward)
 
 
 @profiled("gelu.forward")
@@ -265,11 +243,9 @@ def gelu(x: Tensor) -> Tensor:
     t = np.tanh(inner)
     out_data = 0.5 * x.data * (1.0 + t)
 
-    def backward(g, out=None):
-        if x.requires_grad:
-            dinner = c * (1.0 + 3 * 0.044715 * x.data**2)
-            dt = (1.0 - t**2) * dinner
-            out._accumulate(x, g * (0.5 * (1.0 + t) + 0.5 * x.data * dt))
+    def backward(g):
+        dinner = c * (1.0 + 3 * 0.044715 * x.data**2)
+        dt = (1.0 - t**2) * dinner
+        return (g * (0.5 * (1.0 + t) + 0.5 * x.data * dt),)
 
-    out = Tensor.from_op(out_data, (x,), lambda g: backward(g, out))
-    return out
+    return Tensor.from_op(out_data, (x,), backward)

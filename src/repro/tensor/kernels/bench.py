@@ -17,11 +17,10 @@ Used by ``repro kernels --bench`` and the bench-smoke CI job.
 from __future__ import annotations
 
 import os
-import time
 
 import numpy as np
 
-from repro.profile import OpStat, PerfReport
+from repro.profile import OpStat, PerfReport, timeit
 from repro.tensor.kernels import registry
 
 __all__ = ["bench_kernels", "BENCH_ROUNDS"]
@@ -75,19 +74,6 @@ _SPEEDUP_METAS = {
 }
 
 
-def _min_seconds(fn, args, rounds: int, warmup: int = 2) -> float:
-    """Best-of-``rounds`` wall time for one kernel call (min rejects
-    scheduler noise far better than the mean at microsecond scale)."""
-    for _ in range(warmup):
-        fn(*args)
-    best = float("inf")
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        fn(*args)
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
 def bench_kernels(rounds: int = BENCH_ROUNDS, seed: int = 0) -> PerfReport:
     """Time every registered backend of the benched ops; return the report.
 
@@ -103,7 +89,9 @@ def bench_kernels(rounds: int = BENCH_ROUNDS, seed: int = 0) -> PerfReport:
         args = make_args(rng)
         for backend in registry.list_backends(op):
             _, fn = registry.resolve(op, backend)
-            best = _min_seconds(fn, args, rounds)
+            # Best of rounds: the min rejects scheduler noise far better
+            # than the mean at microsecond scale.
+            best = float(timeit(lambda: fn(*args), rounds, warmup=2).min())
             minima[(op, backend)] = best
             name = f"kernels.{op}.{backend}"
             ops[name] = OpStat(name=name, calls=rounds, total_seconds=best)

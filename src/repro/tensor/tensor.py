@@ -3,9 +3,11 @@
 This is the training substrate the reproduction runs on: the original paper
 used Chainer, which is unavailable here, so we implement a tape-based
 autograd engine from scratch.  A :class:`Tensor` wraps a ``numpy.ndarray``
-and records, for every differentiable operation, a backward closure plus the
-parent tensors it consumed.  :meth:`Tensor.backward` runs a topological sort
-of that graph and accumulates gradients.
+and records, for every differentiable operation, the parent tensors it
+consumed plus a backward function that maps the output's gradient to one
+gradient (or ``None``) per parent.  :meth:`Tensor.backward` runs a
+topological sort of that graph and adds each returned gradient into its
+parent's running sum.
 
 Design notes
 ------------
@@ -16,6 +18,10 @@ Design notes
 * The graph is dynamic (define-by-run): each forward pass builds a fresh
   tape, matching how the experiments repeatedly call ``loss.backward()``
   inside the training loop.
+* A tensor references its parents and its backward function, and no
+  backward function references the tensor it belongs to, so the graph holds
+  no reference cycle: reference counting frees it as soon as its last
+  tensor goes, without waiting for the cyclic garbage collector.
 * Heavy ops (conv, pooling, batchnorm) live in :mod:`repro.tensor.conv` and
   :mod:`repro.tensor.functional`; this module holds the core class and
   pointwise/linear-algebra primitives.
@@ -109,7 +115,7 @@ class Tensor:
         If True, ``backward`` populates :attr:`grad` for this tensor.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name", "_saved_grads")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
     __array_priority__ = 100  # numpy defers binary ops to Tensor
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
@@ -120,7 +126,7 @@ class Tensor:
             raise TypeError("only floating-point tensors can require gradients")
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._backward: Callable[[np.ndarray], None] | None = None
+        self._backward: Callable[[np.ndarray], Sequence[np.ndarray | None]] | None = None
         self._parents: tuple[Tensor, ...] = ()
         self.name = name
 
@@ -132,9 +138,17 @@ class Tensor:
     def from_op(
         data: np.ndarray,
         parents: Sequence["Tensor"],
-        backward: Callable[[np.ndarray], None],
+        backward: Callable[[np.ndarray], Sequence[np.ndarray | None]],
     ) -> "Tensor":
-        """Build the result tensor of an op, wiring the tape if enabled."""
+        """Build the result tensor of an op, wiring the tape if enabled.
+
+        The tape records the op only when grad mode is on and some parent
+        requires grad.  ``backward(g)`` receives the gradient of the result
+        and returns one gradient or ``None`` per parent, in parent order;
+        :meth:`backward` skips ``None`` and parents that do not require
+        grad.  ``backward`` must not reference the result tensor, so the
+        graph stays free of reference cycles.
+        """
         req = is_grad_enabled() and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=req)
         if req:
@@ -213,24 +227,15 @@ class Tensor:
             g = grads.pop(id(node), None)
             if g is None:
                 continue
-            if node.requires_grad and node._backward is None:
+            if node._backward is None:
                 # Leaf: accumulate into .grad
                 node.grad = g if node.grad is None else node.grad + g
-            if node._backward is not None:
-                node._saved_grads = grads  # type: ignore[attr-defined]
-                try:
-                    node._backward(g)
-                finally:
-                    del node._saved_grads  # type: ignore[attr-defined]
-
-    def _accumulate(self, parent: "Tensor", grad: np.ndarray) -> None:
-        """Route a gradient contribution to ``parent`` during backward."""
-        store: dict[int, np.ndarray] = getattr(self, "_saved_grads")
-        key = id(parent)
-        if key in store:
-            store[key] = store[key] + grad
-        else:
-            store[key] = grad
+                continue
+            for parent, pg in zip(node._parents, node._backward(g)):
+                if pg is None or not parent.requires_grad:
+                    continue
+                key = id(parent)
+                grads[key] = grads[key] + pg if key in grads else pg
 
     # ------------------------------------------------------------------ #
     # arithmetic
@@ -241,72 +246,62 @@ class Tensor:
 
     def __add__(self, other):
         other = self._coerce(other)
-        out_data = self.data + other.data
 
-        def backward(g, out=None):
-            if self.requires_grad:
-                out._accumulate(self, unbroadcast(g, self.shape))
-            if other.requires_grad:
-                out._accumulate(other, unbroadcast(g, other.shape))
+        def backward(g):
+            return (
+                unbroadcast(g, self.shape) if self.requires_grad else None,
+                unbroadcast(g, other.shape) if other.requires_grad else None,
+            )
 
-        out = Tensor.from_op(out_data, (self, other), lambda g: backward(g, out))
-        return out
+        return Tensor.from_op(self.data + other.data, (self, other), backward)
 
     __radd__ = __add__
 
     def __neg__(self):
-        def backward(g, out=None):
-            if self.requires_grad:
-                out._accumulate(self, -g)
+        def backward(g):
+            return (-g,)
 
-        out = Tensor.from_op(-self.data, (self,), lambda g: backward(g, out))
-        return out
+        return Tensor.from_op(-self.data, (self,), backward)
 
     def __sub__(self, other):
         other = self._coerce(other)
-        out_data = self.data - other.data
 
-        def backward(g, out=None):
-            if self.requires_grad:
-                out._accumulate(self, unbroadcast(g, self.shape))
-            if other.requires_grad:
-                out._accumulate(other, unbroadcast(-g, other.shape))
+        def backward(g):
+            return (
+                unbroadcast(g, self.shape) if self.requires_grad else None,
+                unbroadcast(-g, other.shape) if other.requires_grad else None,
+            )
 
-        out = Tensor.from_op(out_data, (self, other), lambda g: backward(g, out))
-        return out
+        return Tensor.from_op(self.data - other.data, (self, other), backward)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __mul__(self, other):
         other = self._coerce(other)
-        out_data = self.data * other.data
 
-        def backward(g, out=None):
-            if self.requires_grad:
-                out._accumulate(self, unbroadcast(g * other.data, self.shape))
-            if other.requires_grad:
-                out._accumulate(other, unbroadcast(g * self.data, other.shape))
+        def backward(g):
+            return (
+                unbroadcast(g * other.data, self.shape) if self.requires_grad else None,
+                unbroadcast(g * self.data, other.shape) if other.requires_grad else None,
+            )
 
-        out = Tensor.from_op(out_data, (self, other), lambda g: backward(g, out))
-        return out
+        return Tensor.from_op(self.data * other.data, (self, other), backward)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = self._coerce(other)
-        out_data = self.data / other.data
 
-        def backward(g, out=None):
+        def backward(g):
+            ga = gb = None
             if self.requires_grad:
-                out._accumulate(self, unbroadcast(g / other.data, self.shape))
+                ga = unbroadcast(g / other.data, self.shape)
             if other.requires_grad:
-                out._accumulate(
-                    other, unbroadcast(-g * self.data / (other.data**2), other.shape)
-                )
+                gb = unbroadcast(-g * self.data / (other.data**2), other.shape)
+            return ga, gb
 
-        out = Tensor.from_op(out_data, (self, other), lambda g: backward(g, out))
-        return out
+        return Tensor.from_op(self.data / other.data, (self, other), backward)
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
@@ -314,14 +309,11 @@ class Tensor:
     def __pow__(self, exponent: float):
         if not np.isscalar(exponent):
             raise TypeError("only scalar exponents are supported")
-        out_data = self.data**exponent
 
-        def backward(g, out=None):
-            if self.requires_grad:
-                out._accumulate(self, g * exponent * self.data ** (exponent - 1))
+        def backward(g):
+            return (g * exponent * self.data ** (exponent - 1),)
 
-        out = Tensor.from_op(out_data, (self,), lambda g: backward(g, out))
-        return out
+        return Tensor.from_op(self.data**exponent, (self,), backward)
 
     @profiled("tensor.matmul")
     def __matmul__(self, other):
@@ -329,17 +321,16 @@ class Tensor:
         _, mm = kernels.resolve("matmul")
         out_data = mm(self.data, other.data)
 
-        def backward(g, out=None):
+        def backward(g):
             with profiled("tensor.matmul.backward"):
+                ga = gb = None
                 if self.requires_grad:
-                    ga = mm(g, np.swapaxes(other.data, -1, -2))
-                    out._accumulate(self, unbroadcast(ga, self.shape))
+                    ga = unbroadcast(mm(g, np.swapaxes(other.data, -1, -2)), self.shape)
                 if other.requires_grad:
-                    gb = mm(np.swapaxes(self.data, -1, -2), g)
-                    out._accumulate(other, unbroadcast(gb, other.shape))
+                    gb = unbroadcast(mm(np.swapaxes(self.data, -1, -2), g), other.shape)
+                return ga, gb
 
-        out = Tensor.from_op(out_data, (self, other), lambda g: backward(g, out))
-        return out
+        return Tensor.from_op(out_data, (self, other), backward)
 
     # ------------------------------------------------------------------ #
     # shape ops
@@ -349,14 +340,11 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         in_shape = self.shape
-        out_data = self.data.reshape(shape)
 
-        def backward(g, out=None):
-            if self.requires_grad:
-                out._accumulate(self, g.reshape(in_shape))
+        def backward(g):
+            return (g.reshape(in_shape),)
 
-        out = Tensor.from_op(out_data, (self,), lambda g: backward(g, out))
-        return out
+        return Tensor.from_op(self.data.reshape(shape), (self,), backward)
 
     def transpose(self, *axes):
         if not axes:
@@ -364,47 +352,35 @@ class Tensor:
         elif len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
         inv = np.argsort(axes)
-        out_data = self.data.transpose(axes)
 
-        def backward(g, out=None):
-            if self.requires_grad:
-                out._accumulate(self, g.transpose(inv))
+        def backward(g):
+            return (g.transpose(inv),)
 
-        out = Tensor.from_op(out_data, (self,), lambda g: backward(g, out))
-        return out
+        return Tensor.from_op(self.data.transpose(axes), (self,), backward)
 
     @property
     def T(self):
         return self.transpose()
 
     def __getitem__(self, key):
-        out_data = self.data[key]
+        def backward(g):
+            full = np.zeros_like(self.data)
+            np.add.at(full, key, g)
+            return (full,)
 
-        def backward(g, out=None):
-            if self.requires_grad:
-                full = np.zeros_like(self.data)
-                np.add.at(full, key, g)
-                out._accumulate(self, full)
-
-        out = Tensor.from_op(out_data, (self,), lambda g: backward(g, out))
-        return out
+        return Tensor.from_op(self.data[key], (self,), backward)
 
     # ------------------------------------------------------------------ #
     # reductions
     # ------------------------------------------------------------------ #
 
     def sum(self, axis=None, keepdims: bool = False):
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
+        def backward(g):
+            if not keepdims and axis is not None:
+                g = np.expand_dims(g, axis)
+            return (np.broadcast_to(g, self.shape).copy(),)
 
-        def backward(g, out=None):
-            if self.requires_grad:
-                gg = g
-                if not keepdims and axis is not None:
-                    gg = np.expand_dims(gg, axis)
-                out._accumulate(self, np.broadcast_to(gg, self.shape).copy())
-
-        out = Tensor.from_op(out_data, (self,), lambda g: backward(g, out))
-        return out
+        return Tensor.from_op(self.data.sum(axis=axis, keepdims=keepdims), (self,), backward)
 
     def mean(self, axis=None, keepdims: bool = False):
         if axis is None:
@@ -417,20 +393,17 @@ class Tensor:
     def max(self, axis=None, keepdims: bool = False):
         out_data = self.data.max(axis=axis, keepdims=keepdims)
 
-        def backward(g, out=None):
-            if self.requires_grad:
-                expanded = out_data
-                gg = g
-                if not keepdims and axis is not None:
-                    expanded = np.expand_dims(expanded, axis)
-                    gg = np.expand_dims(gg, axis)
-                mask = (self.data == expanded).astype(self.data.dtype)
-                # Split gradient equally among ties (rare in float training).
-                denom = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-                out._accumulate(self, mask * gg / denom)
+        def backward(g):
+            expanded = out_data
+            if not keepdims and axis is not None:
+                expanded = np.expand_dims(expanded, axis)
+                g = np.expand_dims(g, axis)
+            mask = (self.data == expanded).astype(self.data.dtype)
+            # Split gradient equally among ties (rare in float training).
+            denom = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
+            return (mask * g / denom,)
 
-        out = Tensor.from_op(out_data, (self,), lambda g: backward(g, out))
-        return out
+        return Tensor.from_op(out_data, (self,), backward)
 
     # ------------------------------------------------------------------ #
     # pointwise nonlinearities
@@ -439,22 +412,16 @@ class Tensor:
     def exp(self):
         out_data = np.exp(self.data)
 
-        def backward(g, out=None):
-            if self.requires_grad:
-                out._accumulate(self, g * out_data)
+        def backward(g):
+            return (g * out_data,)
 
-        out = Tensor.from_op(out_data, (self,), lambda g: backward(g, out))
-        return out
+        return Tensor.from_op(out_data, (self,), backward)
 
     def log(self):
-        out_data = np.log(self.data)
+        def backward(g):
+            return (g / self.data,)
 
-        def backward(g, out=None):
-            if self.requires_grad:
-                out._accumulate(self, g / self.data)
-
-        out = Tensor.from_op(out_data, (self,), lambda g: backward(g, out))
-        return out
+        return Tensor.from_op(np.log(self.data), (self,), backward)
 
     def sqrt(self):
         return self**0.5
@@ -464,53 +431,40 @@ class Tensor:
         _, bwd = kernels.resolve("relu_backward", backend)
         out_data, ctx = fwd(self.data)
 
-        def backward(g, out=None):
-            if self.requires_grad:
-                out._accumulate(self, bwd(g, ctx))
+        def backward(g):
+            return (bwd(g, ctx),)
 
-        out = Tensor.from_op(out_data, (self,), lambda g: backward(g, out))
-        return out
+        return Tensor.from_op(out_data, (self,), backward)
 
     def tanh(self):
         out_data = np.tanh(self.data)
 
-        def backward(g, out=None):
-            if self.requires_grad:
-                out._accumulate(self, g * (1.0 - out_data**2))
+        def backward(g):
+            return (g * (1.0 - out_data**2),)
 
-        out = Tensor.from_op(out_data, (self,), lambda g: backward(g, out))
-        return out
+        return Tensor.from_op(out_data, (self,), backward)
 
     def sigmoid(self):
         out_data = 1.0 / (1.0 + np.exp(-self.data))
 
-        def backward(g, out=None):
-            if self.requires_grad:
-                out._accumulate(self, g * out_data * (1.0 - out_data))
+        def backward(g):
+            return (g * out_data * (1.0 - out_data),)
 
-        out = Tensor.from_op(out_data, (self,), lambda g: backward(g, out))
-        return out
+        return Tensor.from_op(out_data, (self,), backward)
 
     def abs(self):
-        out_data = np.abs(self.data)
+        def backward(g):
+            return (g * np.sign(self.data),)
 
-        def backward(g, out=None):
-            if self.requires_grad:
-                out._accumulate(self, g * np.sign(self.data))
-
-        out = Tensor.from_op(out_data, (self,), lambda g: backward(g, out))
-        return out
+        return Tensor.from_op(np.abs(self.data), (self,), backward)
 
     def clip(self, lo: float, hi: float):
-        out_data = np.clip(self.data, lo, hi)
         mask = (self.data >= lo) & (self.data <= hi)
 
-        def backward(g, out=None):
-            if self.requires_grad:
-                out._accumulate(self, g * mask)
+        def backward(g):
+            return (g * mask,)
 
-        out = Tensor.from_op(out_data, (self,), lambda g: backward(g, out))
-        return out
+        return Tensor.from_op(np.clip(self.data, lo, hi), (self,), backward)
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
@@ -545,18 +499,12 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     """
     tensors = list(tensors)
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    splits = np.cumsum([t.shape[axis] for t in tensors])[:-1]
 
-    def backward(g, out=None):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(int(lo), int(hi))
-                out._accumulate(t, g[tuple(sl)])
+    def backward(g):
+        return np.split(g, splits, axis=axis)
 
-    out = Tensor.from_op(out_data, tuple(tensors), lambda g: backward(g, out))
-    return out
+    return Tensor.from_op(out_data, tuple(tensors), backward)
 
 
 def pad2d(x: Tensor, pad: int) -> Tensor:
@@ -564,15 +512,11 @@ def pad2d(x: Tensor, pad: int) -> Tensor:
     if pad == 0:
         return x
     pw = [(0, 0)] * (x.ndim - 2) + [(pad, pad), (pad, pad)]
-    out_data = np.pad(x.data, pw)
 
-    def backward(g, out=None):
-        if x.requires_grad:
-            sl = (Ellipsis, slice(pad, -pad), slice(pad, -pad))
-            out._accumulate(x, g[sl])
+    def backward(g):
+        return (g[..., pad:-pad, pad:-pad],)
 
-    out = Tensor.from_op(out_data, (x,), lambda g: backward(g, out))
-    return out
+    return Tensor.from_op(np.pad(x.data, pw), (x,), backward)
 
 
 # Imported at the bottom so `import repro.tensor.tensor` works standalone:

@@ -294,11 +294,14 @@ class TestKernelGateWiring:
 
     @pytest.mark.parametrize("backend", ["reference", "sparse"])
     def test_tests_job_runs_parity_suite_on_reference_backend(self, workflow, backend):
+        # The step that selects the backend must itself run the kernel
+        # parity suite and the finite-difference checks of every backward.
         job = workflow["jobs"]["tests"]
-        env = [s.get("env", {}) for s in job["steps"]]
-        assert {"REPRO_BACKEND": backend} in env
-        runs = " ".join(s.get("run", "") for s in job["steps"])
-        assert "test_kernels_parity.py" in runs
+        steps = [s for s in job["steps"] if s.get("env") == {"REPRO_BACKEND": backend}]
+        assert len(steps) == 1
+        run = steps[0]["run"]
+        assert "test_kernels_parity.py" in run
+        assert "test_gradcheck.py" in run
 
     def test_committed_kernel_baseline_exists_and_has_gated_ops(self):
         path = REPO_ROOT / "benchmarks" / "results" / "perf_kernels.json"

@@ -30,14 +30,10 @@ class TestGradcheck:
         """A deliberately wrong backward must be caught."""
 
         def broken_square(x: Tensor) -> Tensor:
-            out_data = x.data**2
+            def backward(g):
+                return (g * 3.0 * x.data,)  # wrong: should be 2x
 
-            def backward(g, out=None):
-                if x.requires_grad:
-                    out._accumulate(x, g * 3.0 * x.data)  # wrong: should be 2x
-
-            out = Tensor.from_op(out_data, (x,), lambda g: backward(g, out))
-            return out
+            return Tensor.from_op(x.data**2, (x,), backward)
 
         t = Tensor(np.array([1.5, -0.5]), requires_grad=True)
         with pytest.raises(AssertionError, match="mismatch"):

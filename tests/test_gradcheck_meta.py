@@ -29,12 +29,10 @@ def _custom_op(fn, grad_fn):
     """Build a unary custom op from forward/backward ndarray functions."""
 
     def op(x: Tensor) -> Tensor:
-        def backward(g, out=None):
-            if x.requires_grad:
-                out._accumulate(x, grad_fn(g, x.data))
+        def backward(g):
+            return (grad_fn(g, x.data),)
 
-        out = Tensor.from_op(fn(x.data), (x,), lambda g: backward(g, out))
-        return out
+        return Tensor.from_op(fn(x.data), (x,), backward)
 
     return op
 

@@ -10,6 +10,7 @@ so the plane/pool/determinism tripwires are armed throughout.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 from multiprocessing import shared_memory
 
@@ -242,6 +243,33 @@ class TestParallelTrainerDeterminism:
 
 
 class TestParallelTrainerMechanics:
+    @pytest.mark.parametrize("sanitize", [True, False])
+    def test_arena_unmapped_without_the_collector(self, monkeypatch, sanitize):
+        # The last step's graph holds views of the shared plane; it must be
+        # freed by reference counting before teardown unmaps the arena,
+        # since _close swallows the BufferError a live view would raise.
+        closed = []
+        close = SharedArena._close
+
+        def spy(arena):
+            shm = arena.shm
+            close(arena)
+            closed.append(shm)
+
+        monkeypatch.setattr(SharedArena, "_close", spy)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            _fit(2, sanitize=sanitize)
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert closed
+        for shm in closed:
+            # SharedMemory.close drops `buf` before the mmap close that
+            # raises, so only `_mmap` shows whether the mapping went.
+            assert shm.buf is None and shm._mmap is None
+
     def test_plane_restored_to_heap_after_fit(self):
         _, _, trainer = _fit(2)
         assert check_plane_integrity(trainer.model) == []

@@ -17,7 +17,7 @@ from repro import profile
 from repro.data import DataLoader
 from repro.models import mlp
 from repro.optim import SGD, ConstantLR
-from repro.profile import OpStat, PerfReport, profiled
+from repro.profile import OpStat, PerfReport, profiled, timeit
 from repro.train import ProfilerCallback, Trainer
 from repro.utils.determinism import weights_digest
 
@@ -117,6 +117,22 @@ class TestProfiledDecorator:
         with cm:
             profile.enable()
         assert "op.race" not in profile.snapshot()["ops"]
+
+
+class TestTimeit:
+    @pytest.mark.parametrize("rounds, warmup", [(5, 3), (2, 0)])
+    def test_warmup_calls_are_untimed(self, rounds, warmup):
+        calls = []
+        times = timeit(lambda: calls.append(None), rounds, warmup)
+        assert len(calls) == warmup + rounds
+        assert times.dtype == np.float64 and times.shape == (rounds,)
+        assert np.all(times >= 0.0)
+
+    def test_rejects_zero_rounds(self):
+        calls = []
+        with pytest.raises(ValueError, match="rounds"):
+            timeit(lambda: calls.append(None), 0, 1)
+        assert calls == []
 
 
 class TestPerfReport:

@@ -1,7 +1,7 @@
 """Extended property-based tests: quantization, overlap metrics, energy."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -24,12 +24,18 @@ class TestQuantizerProperties:
         values=arrays(np.float64, st.integers(1, 200), elements=bounded_floats),
         bits=st.integers(2, 16),
     )
+    @example(values=np.array([33.51390104, 100.0]), bits=16)
     @settings(max_examples=60, deadline=None)
     def test_roundtrip_error_bounded_by_half_step(self, values, bits):
         q = UniformQuantizer(bits=bits)
         back = q.roundtrip(values)
         scale = q.scale_for(values)
-        assert np.abs(back - values).max() <= 0.5 * scale + 1e-12
+        # dequantize returns float32 by contract; that cast adds up to half
+        # a float32 spacing of the result on top of the half step.  The
+        # pinned example is off by 1.52616e-3 against a half step of
+        # 1.52593e-3 (float64 round trip: 1.52578e-3).
+        bound = 0.5 * scale + 0.5 * np.abs(np.spacing(back)) + 1e-12
+        assert np.all(np.abs(back - values) <= bound)
 
     @given(
         values=arrays(np.float64, st.integers(1, 100), elements=bounded_floats),
