@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import HeapSelector, SortSelector
+from repro.core import HeapSelector, top_k_mask
 from repro.utils import format_table
 
 from common import emit_report, profiled_run
@@ -28,7 +28,7 @@ def scores():
 
 
 def test_selectors_agree(scores, benchmark):
-    sort_mask = SortSelector().select(scores, K)
+    sort_mask = top_k_mask(scores, K)
     heap_mask = HeapSelector().select(scores, K)
     np.testing.assert_array_equal(sort_mask, heap_mask)
 
@@ -43,11 +43,11 @@ def test_selectors_agree(scores, benchmark):
             ],
         ),
     )
-    benchmark.pedantic(lambda: SortSelector().select(scores, K), rounds=10, iterations=1)
+    benchmark.pedantic(lambda: top_k_mask(scores, K), rounds=10, iterations=1)
 
 
 def test_benchmark_sort_selector(scores, benchmark):
-    benchmark.pedantic(lambda: SortSelector().select(scores, K), rounds=10, iterations=1)
+    benchmark.pedantic(lambda: top_k_mask(scores, K), rounds=10, iterations=1)
 
 
 def test_perf_report_emitted(scores):
@@ -60,7 +60,7 @@ def test_perf_report_emitted(scores):
 
     def sweep():
         with profile.profiled("selector.sort"):
-            SortSelector().select(scores, K)
+            top_k_mask(scores, K)
         with profile.profiled("selector.heap"):
             HeapSelector().select(scores, K)
 

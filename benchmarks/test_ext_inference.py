@@ -14,6 +14,7 @@ import pytest
 from repro.core import DropBack
 from repro.energy import EnergyModel
 from repro.infer import RegeneratingInferenceEngine
+from repro.io import sparse_payload
 from repro.models import mnist_100_100
 from repro.optim.base import AccessCounter
 from repro.tensor import Tensor, no_grad
@@ -28,7 +29,7 @@ def engine_setup():
     model = mnist_100_100().finalize(42)
     opt = DropBack(model, k=budget_for_ratio(model, 10.0), lr=SCALE.lr)
     train_run(model, opt, data, epochs=max(2, SCALE.mnist_epochs // 2), lr=SCALE.lr)
-    engine = RegeneratingInferenceEngine.from_optimizer(model, opt)
+    engine = RegeneratingInferenceEngine(model, sparse_payload(model, opt))
     return model, opt, engine, data[1]
 
 

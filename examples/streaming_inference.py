@@ -5,7 +5,7 @@ Shows the full deployment path the paper's accelerator implies:
 
 1. train with DropBack (only k weights ever stored);
 2. export the sparse checkpoint (seed + tracked indices/values);
-3. on the "device", rebuild ONLY the architecture, load the sparse data,
+3. on the "device", rebuild ONLY the architecture, read the sparse data,
    and serve predictions through the regenerating inference engine —
    weights are materialized layer by layer from the xorshift PRNG plus the
    tracked values, and never held all at once;
@@ -33,7 +33,7 @@ from repro import DataLoader, DropBack, Tensor, Trainer, no_grad
 from repro.data import synth_mnist
 from repro.energy import EnergyModel
 from repro.infer import RegeneratingInferenceEngine
-from repro.io import load_sparse, save_sparse
+from repro.io import read_sparse_payload, save_sparse
 from repro.models import lenet_300_100
 from repro.optim import BoundedStepDecay
 from repro.optim.base import AccessCounter
@@ -65,11 +65,9 @@ def main() -> None:
         print(f"\nexported sparse checkpoint: {os.path.getsize(ckpt):,} bytes")
 
         # --- "device side": architecture + checkpoint only -------------
-        device_model = load_sparse(lenet_300_100(), ckpt)
-        mask = opt.tracked_mask
-        flat = np.concatenate([p.data.reshape(-1) for p in device_model.parameters()])
-        idx = np.flatnonzero(mask)
-        engine = RegeneratingInferenceEngine(device_model, idx, flat[idx])
+        payload = read_sparse_payload(ckpt)
+        device_model = lenet_300_100().finalize(payload.seed)
+        engine = RegeneratingInferenceEngine(device_model, payload)
 
         # --- "server side": registry + dynamic batching ----------------
         registry = ModelRegistry(byte_budget=4 << 20)

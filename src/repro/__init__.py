@@ -22,7 +22,7 @@ Quickstart::
 """
 
 from repro import profile
-from repro.core import DropBack, HeapSelector, SortSelector
+from repro.core import DropBack
 from repro.data import DataLoader, Dataset, synth_cifar, synth_mnist
 from repro.energy import EnergyModel
 from repro.nn import Module, Parameter
@@ -35,8 +35,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "DropBack",
-    "SortSelector",
-    "HeapSelector",
     "SGD",
     "ConstantLR",
     "StepDecay",

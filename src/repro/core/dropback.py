@@ -19,9 +19,9 @@ Only ``k`` weights are ever stored; the weight-memory compression ratio is
 
 Implementation
 --------------
-The optimizer runs on the **flat weight plane** built by
-``Module.finalize``: prunable parameters are one contiguous float32 buffer,
-so candidates, scores, and the commit are a handful of whole-plane
+The optimizer runs on the model's **flat weight plane** built by
+``Module.finalize``: every parameter is a view of one contiguous float32
+buffer, so candidates, scores, and the commit are a handful of whole-plane
 vectorized ops against scratch buffers preallocated in ``__init__`` — no
 per-parameter Python loop over array ops, and no per-step allocation after
 warmup.  :meth:`freeze` precomputes the tracked index array plus per-layer
@@ -30,9 +30,10 @@ entries** (O(k) gather → update → scatter, timed as
 ``dropback.step.frozen``) instead of O(total_params).
 
 The seed per-parameter implementation is retained verbatim as
-:meth:`reference_step`; the equivalence suite proves both paths bit-identical
-across every criterion / ``zero_untracked`` / ``strict_regeneration`` /
-freeze combination.
+:meth:`reference_step`; the optimizer conformance suite proves both paths
+bit-identical across every criterion / ``zero_untracked`` / freeze
+combination.  Both select through one hook, :meth:`_select`, which
+:class:`~repro.core.UniformBudgetDropBack` overrides.
 
 The class also exposes the instrumentation the paper's analysis needs:
 per-step tracked-set churn (Fig. 2), per-layer retention counts (Table 2),
@@ -45,11 +46,10 @@ from typing import Literal
 
 import numpy as np
 
-from repro.core.selection import Selector, SortSelector
+from repro.core.selection import top_k_mask
 from repro.nn import Module, Parameter
 from repro.optim.base import Optimizer
 from repro.profile import profiled
-from repro.tensor.kernels import sparse as sparse_kernels
 
 __all__ = ["DropBack"]
 
@@ -79,25 +79,6 @@ class DropBack(Optimizer):
         Ablation switch: set untracked weights to 0 instead of regenerating
         W(0).  The paper reports this costs 60x -> 2x achievable
         compression on MNIST.
-    selector:
-        Top-k strategy; defaults to exact :class:`SortSelector`.
-    strict_regeneration:
-        If True, untracked values are *recomputed from the xorshift PRNG on
-        every step* rather than read from a cached W(0) array — the
-        faithful hardware behaviour.  Slower; used in tests to prove the
-        cached path is exactly equivalent.
-    include_nonprunable:
-        If False, parameters flagged ``prunable=False`` get plain SGD
-        updates and do not consume budget.  Default True (the paper prunes
-        everything, including BatchNorm and PReLU parameters).  The
-        prunable parameters must still be one contiguous run of the weight
-        plane, so non-prunable ones may only lead or trail the model.
-    history_limit:
-        Bound on the length of :attr:`swap_history`.  ``None`` (default)
-        keeps every per-step churn count, the behaviour the Fig. 2
-        benchmarks rely on; a positive limit keeps only the most recent
-        entries so multi-million-step runs stay O(limit) in memory.
-        :attr:`total_swaps` always accumulates the running total.
     """
 
     def __init__(
@@ -107,108 +88,54 @@ class DropBack(Optimizer):
         lr: float,
         criterion: Criterion = "accumulated",
         zero_untracked: bool = False,
-        selector: Selector | None = None,
-        strict_regeneration: bool = False,
-        include_nonprunable: bool = True,
-        history_limit: int | None = None,
     ):
         super().__init__(model, lr)
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
         if criterion not in ("accumulated", "magnitude", "current"):
             raise ValueError(f"unknown criterion: {criterion!r}")
-        if history_limit is not None and history_limit <= 0:
-            raise ValueError(f"history_limit must be positive or None, got {history_limit}")
         self.k = int(k)
         self.criterion: Criterion = criterion
         self.zero_untracked = bool(zero_untracked)
-        self.selector = selector or SortSelector()
-        self.strict_regeneration = bool(strict_regeneration)
-        self.history_limit = history_limit
 
+        # Parameters in plane order: parameter i is weight_plane[lo:hi]
+        # for (lo, hi) = _spans[i].
         self._named: list[tuple[str, Parameter]] = list(model.named_parameters())
-        self._prunable = [
-            (name, p)
-            for name, p in self._named
-            if p.prunable or include_nonprunable
-        ]
-        self._fixed = [p for _, p in self._named if not (p.prunable or include_nonprunable)]
-        self._sizes = [p.size for _, p in self._prunable]
+        self._sizes = [p.size for _, p in self._named]
         self._offsets = np.concatenate([[0], np.cumsum(self._sizes)]).astype(np.int64)
-        self.total_prunable = int(self._offsets[-1])
         self._spans = list(zip(self._offsets[:-1], self._offsets[1:]))
-        # The step runs on model.weight_plane[_plane_lo : _plane_lo + n].
-        self._plane_lo = self._prunable[0][1].base_index if self._prunable else 0
-        for (lo, _), (name, p) in zip(self._spans, self._prunable):
-            if p.base_index != self._plane_lo + lo:
-                raise ValueError(
-                    "DropBack needs the prunable parameters to be one contiguous run of "
-                    f"the weight plane, but a non-prunable parameter precedes {name!r}; "
-                    "with include_nonprunable=False, mark only leading or trailing "
-                    "parameters prunable=False"
-                )
+        n = self._n = int(self._offsets[-1])
 
-        seed = model.seed
-        n = self.total_prunable
-
-        # W(0) and the reset reference live as flat buffers; the per-param
-        # lists (`_w0`, `_reference`) are reshaped views into them, kept
+        # The reset reference untracked weights take: W(0), or 0 in the
+        # zeroing ablation.  `_reference` holds per-parameter views of it
         # for subclasses (QAT) and the reference step.
-        self._w0_flat = np.empty(n, dtype=np.float32)
-        for (lo, hi), (_, p) in zip(self._spans, self._prunable):
-            self._w0_flat[lo:hi].reshape(p.shape)[...] = p.initial_values(seed)
-        self._ref_flat = np.zeros(n, dtype=np.float32) if zero_untracked else self._w0_flat
-        self._w0 = [self._w0_flat[lo:hi].reshape(p.shape)
-                    for (lo, hi), (_, p) in zip(self._spans, self._prunable)]
+        self._ref_flat = np.zeros(n, dtype=np.float32)
+        if not self.zero_untracked:
+            for (lo, hi), (_, p) in zip(self._spans, self._named):
+                self._ref_flat[lo:hi].reshape(p.shape)[...] = p.initial_values(model.seed)
         self._reference = [self._ref_flat[lo:hi].reshape(p.shape)
-                           for (lo, hi), (_, p) in zip(self._spans, self._prunable)]
+                           for (lo, hi), (_, p) in zip(self._spans, self._named)]
 
         # Whole-plane scratch (allocated once; the hot step never allocates).
         self._g_flat = np.zeros(n, dtype=np.float32)  # gathered gradients
         self._cand_flat = np.empty(n, dtype=np.float32)  # SGD candidates W'
         self._score32 = np.empty(n, dtype=np.float32)  # criterion, pre-upcast
-        self._scores = np.empty(n, dtype=np.float64)  # selector input
-        self._regen_flat: np.ndarray | None = None  # strict-regeneration scratch
-        self._mask_scratch = np.empty(n, dtype=bool)  # selector output buffer
+        self._scores = np.empty(n, dtype=np.float64)  # selection input
+        self._mask_scratch = np.empty(n, dtype=bool)  # _select's output buffer
         self._mask_store = np.empty(n, dtype=bool)  # committed tracked set
         self._swap_scratch = np.empty(n, dtype=bool)  # churn = mask & ~prev
 
         self.frozen = False
-        self._mask_flat: np.ndarray | None = None  # tracked-set mask (flat, prunable space)
+        self._mask_flat: np.ndarray | None = None  # tracked-set mask over the plane
         self.last_swaps: int = 0  # weights that entered the tracked set this step
         self.swap_history: list[int] = []
-        self.total_swaps: int = 0  # running churn total (survives history_limit)
+        self.total_swaps: int = 0  # running churn total
 
         # Frozen-path index machinery, built by freeze().
         self._tracked_idx: np.ndarray | None = None
         self._frozen_segs: list[tuple[Parameter, int, int, np.ndarray]] = []
         self._g_k: np.ndarray | None = None
         self._w_k: np.ndarray | None = None
-        # Packed-weight keys registered with the sparse kernel backend
-        # while frozen (zero_untracked only); see _register_sparse_packs.
-        self._sparse_keys: list = []
-
-    def _plane_run(self) -> np.ndarray:
-        """The prunable parameters' span of the model's current weight plane.
-
-        Sliced afresh on every step, so the step follows the plane wherever
-        ``adopt_plane`` has moved it.
-        """
-        lo = self._plane_lo
-        return self.model.weight_plane[lo : lo + self.total_prunable]
-
-    def rebind_plane(self) -> None:
-        """Re-register sparse packs after an ``adopt_plane``.
-
-        The data-parallel trainer re-homes the model's weight plane into
-        (and later out of) a shared-memory arena.  The step itself needs
-        nothing (see :meth:`_plane_run`), but registered sparse packs key
-        on the old parameter views and must be rebuilt.
-        """
-        if self.frozen and self._tracked_idx is not None:
-            self._register_sparse_packs()
-        else:
-            self._invalidate_sparse_packs()
 
     # ------------------------------------------------------------------ #
     # properties
@@ -221,7 +148,7 @@ class DropBack(Optimizer):
 
     def storage_floats(self) -> int:
         """Persistent weight storage: only the k tracked values."""
-        return min(self.k, self.total_prunable) + sum(p.size for p in self._fixed)
+        return min(self.k, self._n)
 
     @property
     def tracked_mask(self) -> np.ndarray | None:
@@ -250,11 +177,10 @@ class DropBack(Optimizer):
         self._w_k = np.empty(idx.size, dtype=np.float32)
         bounds = np.searchsorted(idx, self._offsets)
         self._frozen_segs = []
-        for i, ((lo, _), (_, p)) in enumerate(zip(self._spans, self._prunable)):
+        for i, ((lo, _), (_, p)) in enumerate(zip(self._spans, self._named)):
             s, e = int(bounds[i]), int(bounds[i + 1])
             if s < e:
                 self._frozen_segs.append((p, s, e, idx[s:e] - lo))
-        self._register_sparse_packs()
 
     def unfreeze(self) -> None:
         """Resume tracked-set re-selection (for experiments)."""
@@ -263,37 +189,6 @@ class DropBack(Optimizer):
         self._frozen_segs = []
         self._g_k = None
         self._w_k = None
-        self._invalidate_sparse_packs()
-
-    def _register_sparse_packs(self) -> None:
-        """Pack the frozen tracked set for the ``sparse`` kernel backend.
-
-        Only meaningful in ``zero_untracked`` mode, where the plane really
-        is k-sparse (otherwise untracked weights sit at W(0), dense).  The
-        pack's CSR structure *is* the frozen tracked set, so it survives
-        every frozen step; the kernel re-gathers tracked values per call.
-        Packs are inert until the ``sparse`` backend is selected for
-        dispatch (``REPRO_BACKEND=sparse`` or a matmul/conv op pin).
-        """
-        self._invalidate_sparse_packs()
-        if not (self.zero_untracked and sparse_kernels.is_available()):
-            return
-        idx = self._tracked_idx
-        cutoff = sparse_kernels.density_cutoff()
-        bounds = np.searchsorted(idx, self._offsets)
-        for i, ((lo, _), (_, p)) in enumerate(zip(self._spans, self._prunable)):
-            if p.data.ndim not in (2, 4):
-                continue
-            s, e = int(bounds[i]), int(bounds[i + 1])
-            if (e - s) / p.size > cutoff:
-                continue
-            self._sparse_keys.extend(sparse_kernels.register_weight(p.data, idx[s:e] - lo))
-
-    def _invalidate_sparse_packs(self) -> None:
-        """Drop registered packs (tracked-set change or plane re-home)."""
-        if self._sparse_keys:
-            sparse_kernels.invalidate(self._sparse_keys)
-            self._sparse_keys = []
 
     # ------------------------------------------------------------------ #
     # step — vectorized flat-plane implementation
@@ -307,16 +202,15 @@ class DropBack(Optimizer):
                     self._frozen_step()
             else:
                 self._unfrozen_step()
-            self._sgd_fixed()
             self._count_accesses()
 
     def _unfrozen_step(self) -> None:
         lr = self.lr
-        w = self._plane_run()
+        w = self.weight_plane  # read per step: follows adopt_plane
 
         # 1. SGD candidates W' = W - lr*g as two whole-plane ops.
         with profiled("dropback.accumulate"):
-            for (lo, hi), (_, p) in zip(self._spans, self._prunable):
+            for (lo, hi), (_, p) in zip(self._spans, self._named):
                 gseg = self._g_flat[lo:hi]
                 if p.grad is None:
                     gseg.fill(0.0)
@@ -326,9 +220,6 @@ class DropBack(Optimizer):
             np.subtract(w, self._cand_flat, out=self._cand_flat)
 
         reference = self._ref_flat
-        if self.strict_regeneration:
-            with profiled("dropback.regenerate"):
-                reference = self._regenerate_strict()
 
         # 2-3. Score and select the tracked set.
         with profiled("dropback.topk"):
@@ -364,19 +255,19 @@ class DropBack(Optimizer):
             else:
                 np.take(p.grad, li, out=gk[s:e])
         np.multiply(gk, self.lr, out=gk)
-        w = self._plane_run()
+        w = self.weight_plane
         np.take(w, self._tracked_idx, out=wk)
         np.subtract(wk, gk, out=wk)
         w[self._tracked_idx] = wk
-        if self._sparse_keys:
-            sparse_kernels.mark_dirty(self._sparse_keys)
 
     def _select(self, scores: np.ndarray) -> np.ndarray:
-        """Run the selector, reusing the mask scratch buffer when it can."""
-        select_into = getattr(self.selector, "select_into", None)
-        if select_into is not None:
-            return select_into(scores, self.k, out=self._mask_scratch)
-        return self.selector.select(scores, self.k)
+        """The tracked-set mask for ``scores``: the global top-k.
+
+        Written into the scratch mask.  Both :meth:`step` and
+        :meth:`reference_step` select through this one hook, so a
+        subclass that overrides it (per-layer budgets) changes both.
+        """
+        return top_k_mask(scores, self.k, out=self._mask_scratch)
 
     def _record_selection(self, mask: np.ndarray) -> None:
         """Fold a fresh tracked-set mask into churn stats and commit it."""
@@ -388,38 +279,16 @@ class DropBack(Optimizer):
             self.last_swaps = int(np.count_nonzero(mask))
         self.total_swaps += self.last_swaps
         self.swap_history.append(self.last_swaps)
-        if self.history_limit is not None and len(self.swap_history) > self.history_limit:
-            del self.swap_history[: len(self.swap_history) - self.history_limit]
         np.copyto(self._mask_store, mask)
         self._mask_flat = self._mask_store
-
-    def _regenerate_strict(self) -> np.ndarray:
-        """Recompute the reset reference from the PRNG (faithful hardware)."""
-        if self._regen_flat is None:
-            self._regen_flat = np.empty(self.total_prunable, dtype=np.float32)
-        seed = self.model.seed
-        for (lo, hi), (_, p) in zip(self._spans, self._prunable):
-            self._regen_flat[lo:hi].reshape(p.shape)[...] = p.initializer.regenerate(
-                seed, p.base_index, p.shape
-            )
-        if self.zero_untracked:
-            self._regen_flat.fill(0.0)
-        return self._regen_flat
-
-    def _sgd_fixed(self) -> None:
-        """Plain SGD for non-prunable parameters (include_nonprunable=False)."""
-        for p in self._fixed:
-            if p.grad is not None:
-                p.data = p.data - self.lr * p.grad
 
     def _count_accesses(self) -> None:
         # Access accounting: k tracked weights are read and written; every
         # untracked weight is regenerated on-chip instead of fetched.
-        n_tracked = int(min(self.k, self.total_prunable))
-        fixed = sum(p.size for p in self._fixed)
-        self.counter.weight_reads += n_tracked + fixed
-        self.counter.weight_writes += n_tracked + fixed
-        self.counter.regenerations += self.total_prunable - n_tracked
+        n_tracked = min(self.k, self._n)
+        self.counter.weight_reads += n_tracked
+        self.counter.weight_writes += n_tracked
+        self.counter.regenerations += self._n - n_tracked
         self.counter.steps += 1
 
     # ------------------------------------------------------------------ #
@@ -431,7 +300,7 @@ class DropBack(Optimizer):
 
         O(total_params) with per-parameter candidate copies and a dense
         ``np.where`` commit — kept verbatim as the semantic reference the
-        equivalence suite checks :meth:`step` against, and as the dense
+        conformance suite checks :meth:`step` against, and as the dense
         baseline the perf microbenches measure the flat-plane speedup
         over.  Fully interchangeable with :meth:`step` (shared mask,
         churn, and counter bookkeeping).
@@ -442,18 +311,11 @@ class DropBack(Optimizer):
 
     def _reference_step_impl(self) -> None:
         reference = self._reference
-        if self.strict_regeneration:
-            seed = self.model.seed
-            w0 = [
-                p.initializer.regenerate(seed, p.base_index, p.shape)
-                for _, p in self._prunable
-            ]
-            reference = [np.zeros_like(v) if self.zero_untracked else v for v in w0]
 
-        # 1. SGD candidates for every prunable parameter (the accumulated-
-        # gradient update each weight *would* take).
+        # 1. SGD candidates for every parameter (the accumulated-gradient
+        # update each weight *would* take).
         candidates = []
-        for (_, p), ref in zip(self._prunable, reference):
+        for _, p in self._named:
             if p.grad is None:
                 candidates.append(p.data.copy())
             else:
@@ -463,9 +325,9 @@ class DropBack(Optimizer):
         if self.frozen:
             mask_flat = self._mask_flat
         else:
-            scores = np.empty(self.total_prunable, dtype=np.float64)
+            scores = np.empty(self._n, dtype=np.float64)
             for (lo, hi), cand, ref_p, (_, p) in zip(
-                self._spans, candidates, reference, self._prunable
+                self._spans, candidates, reference, self._named
             ):
                 if self.criterion == "accumulated":
                     s = np.abs(cand - ref_p)
@@ -478,18 +340,15 @@ class DropBack(Optimizer):
                         else np.zeros_like(cand)
                     )
                 scores[lo:hi] = s.reshape(-1)
-            mask_flat = self.selector.select(scores, self.k)
-            self._record_selection(mask_flat)
+            self._record_selection(self._select(scores))
             mask_flat = self._mask_flat
 
         # 4. Commit: tracked weights take the update, the rest regenerate.
         for (lo, hi), cand, ref, (_, p) in zip(
-            self._spans, candidates, reference, self._prunable
+            self._spans, candidates, reference, self._named
         ):
             m = mask_flat[lo:hi].reshape(p.shape)
             p.data = np.where(m, cand, ref).astype(p.data.dtype)
-
-        self._sgd_fixed()
 
     # ------------------------------------------------------------------ #
     # instrumentation
@@ -500,7 +359,7 @@ class DropBack(Optimizer):
         if self._mask_flat is None:
             raise RuntimeError("no tracked set yet; take at least one step")
         out: dict[str, int] = {}
-        for (lo, hi), (name, _) in zip(self._spans, self._prunable):
+        for (lo, hi), (name, _) in zip(self._spans, self._named):
             out[name] = int(np.count_nonzero(self._mask_flat[lo:hi]))
         return out
 
@@ -520,7 +379,7 @@ class DropBack(Optimizer):
         if self._mask_flat is None:
             return True
         seed = self.model.seed
-        for (lo, hi), (_, p) in zip(self._spans, self._prunable):
+        for (lo, hi), (_, p) in zip(self._spans, self._named):
             m = self._mask_flat[lo:hi].reshape(p.shape)
             expect = (
                 np.zeros_like(p.data)

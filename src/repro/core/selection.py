@@ -5,34 +5,30 @@ Algorithm 1 in the paper sorts all accumulated gradients and keeps the top
 describes instead maintains "a priority queue of size k, with incoming
 gradients higher than the stored minimum evicting the minimum elements".
 
-Both are provided:
+Both are provided, each returning a boolean mask over the flat score
+vector:
 
-* :class:`SortSelector` — exact top-k via ``numpy.argpartition`` (O(n)).
-  This is the default used in training.
-* :class:`HeapSelector` — the paper's streaming size-k priority queue.
-  The faithful pure-Python scan is kept as
-  :meth:`HeapSelector.select_scan`; :meth:`HeapSelector.select` computes
-  the *identical* mask (including the scan's index-order tie-breaking)
-  with a chunked ``argpartition`` prefilter plus a threshold scan, which
-  is orders of magnitude faster on real score vectors.  Unit tests assert
-  the two are equal, ties included.
-
-Selectors return a boolean mask over the flat score vector.  Each also
-offers ``select_into(scores, k, out=...)`` which writes the mask into a
-caller-owned buffer, letting hot loops (the DropBack step) avoid a fresh
-boolean allocation per call.
+* :func:`top_k_mask` — exact top-k via ``numpy.argpartition`` (O(n)).
+  This is what training uses; it can write into a caller-owned buffer,
+  so the DropBack step allocates no fresh mask per call.
+* :class:`HeapSelector` — the paper's streaming size-k priority queue,
+  for the top-k implementation ablation.  The faithful pure-Python scan
+  is kept as :meth:`HeapSelector.select_scan`; :meth:`HeapSelector.select`
+  computes the *identical* mask (including the scan's index-order
+  tie-breaking) with a chunked ``argpartition`` prefilter plus a
+  threshold scan, which is orders of magnitude faster on real score
+  vectors.  Unit tests assert the two are equal, ties included.
 """
 
 from __future__ import annotations
 
-import abc
 import heapq
 
 import numpy as np
 
 from repro.profile import profiled
 
-__all__ = ["Selector", "SortSelector", "HeapSelector", "top_k_mask"]
+__all__ = ["HeapSelector", "top_k_mask"]
 
 
 @profiled("selector.top_k_mask")
@@ -60,30 +56,7 @@ def top_k_mask(scores: np.ndarray, k: int, out: np.ndarray | None = None) -> np.
     return mask
 
 
-class Selector(abc.ABC):
-    """Strategy object choosing which weights stay tracked."""
-
-    @abc.abstractmethod
-    def select(self, scores: np.ndarray, k: int) -> np.ndarray:
-        """Return a boolean mask with at most ``k`` True entries."""
-
-    def select_into(self, scores: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
-        """Like :meth:`select`, but write the mask into ``out`` and return it."""
-        out[...] = self.select(scores, k)
-        return out
-
-
-class SortSelector(Selector):
-    """Exact top-k via argpartition (the listing's ``sort``/``λ`` step)."""
-
-    def select(self, scores: np.ndarray, k: int) -> np.ndarray:
-        return top_k_mask(scores, k)
-
-    def select_into(self, scores: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
-        return top_k_mask(scores, k, out=out)
-
-
-class HeapSelector(Selector):
+class HeapSelector:
     """Size-k min-heap scan modelling the paper's hardware priority queue.
 
     Scans scores in index order keeping the k best seen so far; an incoming
@@ -114,24 +87,15 @@ class HeapSelector(Selector):
         self.chunk_size = int(chunk_size)
 
     def select(self, scores: np.ndarray, k: int) -> np.ndarray:
-        return self._select_cleared(scores, k, np.zeros(scores.size, dtype=bool))
-
-    def select_into(self, scores: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
-        out.fill(False)
-        return self._select_cleared(scores, k, out)
-
-    def _select_cleared(self, scores: np.ndarray, k: int, mask: np.ndarray) -> np.ndarray:
+        """Boolean mask of the ``k`` scores the streaming scan keeps."""
         n = scores.size
         if k <= 0:
-            return mask
+            return np.zeros(n, dtype=bool)
         if k >= n:
-            mask[:] = True
-            return mask
+            return np.ones(n, dtype=bool)
         threshold = self._threshold(scores, k)
-        above = scores > threshold
-        n_above = int(np.count_nonzero(above))
-        mask |= above
-        need = k - n_above
+        mask = scores > threshold
+        need = k - int(np.count_nonzero(mask))
         if need > 0:
             # Ties: T-valued members of the first k scores >= T enter the
             # heap; later > T arrivals evict them lowest-index-first.

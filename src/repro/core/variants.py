@@ -25,13 +25,14 @@ class UniformBudgetDropBack(DropBack):
 
     Each parameter tensor gets ``k * size / total`` tracked slots (at least
     one), and top-k selection runs *within* each tensor instead of
-    globally.  Everything else (regeneration, freezing, accounting) is
-    inherited.
+    globally: :meth:`_select` is the only override, so :meth:`step` and
+    :meth:`reference_step` both honour the per-layer budgets.  Everything
+    else (regeneration, freezing, accounting) is inherited.
     """
 
     def __init__(self, model: Module, k: int, lr: float, **kwargs):
         super().__init__(model, k, lr, **kwargs)
-        total = self.total_prunable
+        total = self._n
         target = min(k, total)
         # Largest-remainder apportionment: floors first, then hand out the
         # remainder by fractional part; every layer keeps at least one slot
@@ -56,25 +57,7 @@ class UniformBudgetDropBack(DropBack):
         self._layer_budgets = budgets
 
     def _select(self, scores: np.ndarray) -> np.ndarray:
-        mask = np.zeros(self.total_prunable, dtype=bool)
-        for (lo, hi), budget in zip(
-            zip(self._offsets[:-1], self._offsets[1:]), self._layer_budgets
-        ):
-            mask[lo:hi] = top_k_mask(scores[lo:hi], min(budget, hi - lo))
+        mask = self._mask_scratch
+        for (lo, hi), budget in zip(self._spans, self._layer_budgets):
+            top_k_mask(scores[lo:hi], min(budget, hi - lo), out=mask[lo:hi])
         return mask
-
-    def step(self) -> None:
-        # Reuse the parent step but intercept selection by temporarily
-        # swapping the selector with a per-layer one.
-        original = self.selector
-        parent = self
-
-        class _PerLayer:
-            def select(self, scores, k):
-                return parent._select(scores)
-
-        self.selector = _PerLayer()
-        try:
-            super().step()
-        finally:
-            self.selector = original

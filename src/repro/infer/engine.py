@@ -7,7 +7,8 @@ are fetched from the small on-chip weight memory and scattered over them —
 used for the layer's arithmetic, and discarded.
 
 :class:`RegeneratingInferenceEngine` simulates exactly that on top of a
-sparse checkpoint's content (seed + tracked indices/values):
+sparse checkpoint's content, a :class:`~repro.io.SparsePayload` (seed,
+tracked indices/values, the zeroing-ablation flag, BatchNorm statistics):
 
 * for :class:`~repro.nn.Sequential` models it streams layer by layer, so
   the peak resident weight count is ``max_layer_weights + k`` instead of
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core import DropBack
+from repro.io import SparsePayload
 from repro.nn import Module, Parameter, Sequential
 from repro.optim.base import AccessCounter
 from repro.tensor import Tensor, no_grad
@@ -60,45 +61,24 @@ class RegeneratingInferenceEngine:
     Parameters
     ----------
     model:
-        A finalized model *architecture*.  Its current weight values are
-        ignored; weights are materialized from (seed, tracked set).
-    tracked_indices, tracked_values:
-        The sparse checkpoint content: global flat indices and trained
-        values of the tracked weights.
+        A finalized model *architecture* (it defines the flat index map).
+        Its current weight values are ignored: weights are materialized
+        from the payload, whose BatchNorm statistics are loaded into it.
+    payload:
+        The sparse checkpoint content: :func:`repro.io.sparse_payload` of
+        a trained run, or :func:`repro.io.read_sparse_payload` of a file.
     """
 
-    def __init__(
-        self,
-        model: Module,
-        tracked_indices: np.ndarray,
-        tracked_values: np.ndarray,
-    ):
+    def __init__(self, model: Module, payload: SparsePayload):
         if not model.is_finalized:
-            raise RuntimeError("model must be finalized (it defines the seed/index map)")
-        tracked_indices = np.asarray(tracked_indices, dtype=np.int64)
-        tracked_values = np.asarray(tracked_values, dtype=np.float32)
-        if tracked_indices.shape != tracked_values.shape:
-            raise ValueError("indices and values must have matching shapes")
-        if tracked_indices.size and tracked_indices.max() >= model.num_parameters():
+            raise RuntimeError("model must be finalized (it defines the flat index map)")
+        if payload.k and payload.indices[-1] >= model.num_parameters():
             raise ValueError("tracked index out of range for this model")
+        for dotted, arr in payload.buffers.items():
+            model._set_buffer(dotted, arr)
         self.model = model
-        self.seed = model.seed
-        order = np.argsort(tracked_indices)
-        self._indices = tracked_indices[order]
-        self._values = tracked_values[order]
+        self.payload = payload
         self.last_traffic: InferenceTraffic | None = None
-
-    @classmethod
-    def from_optimizer(cls, model: Module, optimizer: DropBack) -> "RegeneratingInferenceEngine":
-        """Build directly from a trained DropBack optimizer's tracked set."""
-        mask = optimizer.tracked_mask
-        if mask is None:
-            raise RuntimeError("optimizer has no tracked set yet")
-        if optimizer._fixed:
-            raise ValueError("engine requires include_nonprunable=True optimizers")
-        flat = np.concatenate([p.data.reshape(-1) for _, p in optimizer._prunable])
-        idx = np.flatnonzero(mask)
-        return cls(model, idx, flat[idx])
 
     # ------------------------------------------------------------------ #
 
@@ -107,12 +87,16 @@ class RegeneratingInferenceEngine:
 
         Returns ``(weights, n_tracked, n_regenerated)``.
         """
+        payload = self.payload
         lo = param.base_index
         hi = lo + param.size
-        block = param.initializer.regenerate(self.seed, lo, param.shape).reshape(-1)
-        start, stop = np.searchsorted(self._indices, [lo, hi])
+        if payload.zero_untracked:
+            block = np.zeros(param.size, dtype=np.float32)
+        else:
+            block = param.initializer.regenerate(payload.seed, lo, param.shape).reshape(-1)
+        start, stop = np.searchsorted(payload.indices, [lo, hi])
         sel = slice(start, stop)
-        block[self._indices[sel] - lo] = self._values[sel]
+        block[payload.indices[sel] - lo] = payload.values[sel]
         n_tracked = stop - start
         return block.reshape(param.shape), int(n_tracked), param.size - int(n_tracked)
 
@@ -155,7 +139,7 @@ class RegeneratingInferenceEngine:
         self.last_traffic = InferenceTraffic(
             tracked_fetches=fetches,
             regenerations=regens,
-            peak_resident_weights=peak + self._indices.size,
+            peak_resident_weights=peak + self.payload.k,
         )
         return out.numpy()
 
@@ -168,4 +152,4 @@ class RegeneratingInferenceEngine:
 
     def storage_floats(self) -> int:
         """Persistent weight storage: only the tracked values."""
-        return int(self._indices.size)
+        return self.payload.k

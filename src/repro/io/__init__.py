@@ -10,6 +10,7 @@ from repro.io.checkpoint import (
     read_sparse_payload,
     save_dense,
     save_sparse,
+    sparse_payload,
     sparse_size_bytes,
 )
 from repro.io.quantized import load_sparse_quantized, save_sparse_quantized
@@ -18,6 +19,7 @@ __all__ = [
     "save_sparse_quantized",
     "load_sparse_quantized",
     "SparsePayload",
+    "sparse_payload",
     "read_sparse_payload",
     "apply_sparse_payload",
     "save_dense",

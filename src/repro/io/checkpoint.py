@@ -10,7 +10,10 @@ Everything else is recomputed on load.  This is the storage story behind
 the paper's "weight compression" column: a 25x-compressed LeNet checkpoint
 really is ~25x smaller than the dense one.
 
-:func:`save_sparse` / :func:`load_sparse` implement that format on top of
+One function leads out of a trained run and one leads back in:
+:func:`sparse_payload` takes that content from a DropBack optimizer, and
+:func:`apply_sparse_payload` turns it into weights.  :func:`save_sparse` /
+:func:`load_sparse` implement the on-disk format on top of
 ``numpy.savez``; :func:`save_dense` / :func:`load_dense` store the full
 state for baselines.
 """
@@ -29,6 +32,7 @@ __all__ = [
     "load_dense",
     "save_sparse",
     "load_sparse",
+    "sparse_payload",
     "read_sparse_payload",
     "apply_sparse_payload",
     "SparsePayload",
@@ -46,8 +50,9 @@ class SparsePayload:
 
     This is the wire format decoded once: everything a serving layer needs
     to materialize the full weight plane on demand — seed, tracked
-    indices/values (already dequantized for the quantized format), and the
-    BatchNorm running statistics.  ``kind`` is ``"sparse"`` or
+    indices/values (already dequantized for the quantized format), whether
+    untracked weights are zero (the zeroing ablation) rather than W(0), and
+    the BatchNorm running statistics.  ``kind`` is ``"sparse"`` or
     ``"quantized"``; ``bits`` is set only for the latter.
 
     Construction validates the tracked set — ``indices`` a 1-D int64 array
@@ -108,6 +113,33 @@ def _describe(arr) -> str:
     return type(arr).__name__
 
 
+def sparse_payload(model: Module, optimizer: DropBack) -> SparsePayload:
+    """What a DropBack run has trained, as a payload: the one way out of training.
+
+    Holds the seed, the tracked set (flat indices into
+    ``model.weight_plane`` and the values there), the zeroing-ablation flag
+    and a copy of every BatchNorm buffer.  ``save_sparse``,
+    ``save_sparse_quantized`` and ``RegeneratingInferenceEngine`` take it,
+    and :func:`apply_sparse_payload` turns it back into weights.
+    """
+    mask = optimizer.tracked_mask
+    if mask is None:
+        raise RuntimeError("optimizer has no tracked set; train at least one step")
+    indices = np.flatnonzero(mask).astype(np.int64, copy=False)
+    return SparsePayload(
+        seed=model.seed,
+        indices=indices,
+        values=model.weight_plane[indices],
+        zero_untracked=optimizer.zero_untracked,
+        buffers={f"{m}{b}": buf.copy() for m, b, buf in model._named_buffers()},
+    )
+
+
+def _buffer_entries(payload: SparsePayload) -> dict[str, np.ndarray]:
+    """The payload's buffers under their ``buffer::`` checkpoint keys."""
+    return {f"buffer::{name}": arr for name, arr in payload.buffers.items()}
+
+
 def read_sparse_payload(path: str) -> SparsePayload:
     """Decode a sparse or quantized-sparse checkpoint into a payload.
 
@@ -130,6 +162,9 @@ def read_sparse_payload(path: str) -> SparsePayload:
                 seed=int(data["seed"]),
                 indices=np.asarray(data["indices"], dtype=np.int64),
                 values=np.asarray(values, dtype=np.float32),
+                # Absent from files written before the flag was stored.
+                zero_untracked="zero_untracked" in data.files
+                and bool(int(data["zero_untracked"])),
                 kind="quantized",
                 bits=bits,
             )
@@ -184,32 +219,18 @@ def save_sparse(model: Module, optimizer: DropBack, path: str) -> None:
     path:
         Output ``.npz`` path.
     """
-    mask = optimizer.tracked_mask
-    if mask is None:
-        raise RuntimeError("optimizer has no tracked set; train at least one step")
-    if optimizer._fixed:
-        raise ValueError(
-            "sparse checkpoints require include_nonprunable=True (the flat index "
-            "space must cover every parameter)"
-        )
-
-    # Collect tracked values in the optimizer's flat prunable index space.
-    flat = np.concatenate([p.data.reshape(-1) for _, p in optimizer._prunable])
-    indices = np.flatnonzero(mask).astype(np.int64)
-    values = flat[indices].astype(np.float32)
-
-    payload: dict[str, np.ndarray] = {
-        "__format__": np.int64(_FORMAT_VERSION),
-        "seed": np.int64(model.seed),
-        "k": np.int64(optimizer.k),
-        "zero_untracked": np.int64(int(optimizer.zero_untracked)),
-        "indices": indices,
-        "values": values,
-    }
-    # Buffers (BatchNorm running stats) are statistics and stored densely.
-    for mod_name, buf_name, buf in model._named_buffers():
-        payload[f"buffer::{mod_name}{buf_name}"] = buf
-    np.savez(path, **payload)
+    payload = sparse_payload(model, optimizer)
+    np.savez(
+        path,
+        __format__=np.int64(_FORMAT_VERSION),
+        seed=np.int64(payload.seed),
+        k=np.int64(optimizer.k),
+        zero_untracked=np.int64(int(payload.zero_untracked)),
+        indices=payload.indices,
+        values=payload.values,
+        # Buffers (BatchNorm running stats) are statistics, stored densely.
+        **_buffer_entries(payload),
+    )
 
 
 def load_sparse(model: Module, path: str) -> Module:
@@ -253,7 +274,7 @@ def apply_sparse_payload(model: Module, payload: SparsePayload) -> Module:
 
 def sparse_size_bytes(optimizer: DropBack) -> int:
     """Idealized sparse checkpoint payload: k x (int32 index + float32 value)."""
-    n = int(min(optimizer.k, optimizer.total_prunable))
+    n = int(min(optimizer.k, optimizer.num_parameters))
     return n * (4 + 4) + 8  # + seed
 
 

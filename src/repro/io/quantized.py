@@ -11,7 +11,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import DropBack
-from repro.io.checkpoint import apply_sparse_payload, read_sparse_payload
+from repro.io.checkpoint import (
+    _buffer_entries,
+    apply_sparse_payload,
+    read_sparse_payload,
+    sparse_payload,
+)
 from repro.nn import Module
 from repro.quant import UniformQuantizer
 
@@ -22,37 +27,29 @@ _FORMAT_VERSION = 1
 
 def save_sparse_quantized(model: Module, optimizer: DropBack, path: str, bits: int = 8) -> None:
     """Save seed + tracked indices + ``bits``-bit quantized tracked values."""
-    mask = optimizer.tracked_mask
-    if mask is None:
-        raise RuntimeError("optimizer has no tracked set; train at least one step")
-    if optimizer._fixed:
-        raise ValueError("quantized sparse checkpoints require include_nonprunable=True")
-
-    flat = np.concatenate([p.data.reshape(-1) for _, p in optimizer._prunable])
-    indices = np.flatnonzero(mask).astype(np.int64)
-    values = flat[indices].astype(np.float32)
+    payload = sparse_payload(model, optimizer)
     quant = UniformQuantizer(bits=bits, stochastic=False)
-    q_values, scale = quant.quantize(values)
+    q_values, scale = quant.quantize(payload.values)
     store_dtype = np.int8 if bits <= 8 else np.int16
-
-    payload: dict[str, np.ndarray] = {
-        "__qformat__": np.int64(_FORMAT_VERSION),
-        "seed": np.int64(model.seed),
-        "bits": np.int64(bits),
-        "scale": np.float64(scale),
-        "indices": indices,
-        "q_values": q_values.astype(store_dtype),
-    }
-    for mod_name, buf_name, buf in model._named_buffers():
-        payload[f"buffer::{mod_name}{buf_name}"] = buf
-    np.savez(path, **payload)
+    np.savez(
+        path,
+        __qformat__=np.int64(_FORMAT_VERSION),
+        seed=np.int64(payload.seed),
+        bits=np.int64(bits),
+        scale=np.float64(scale),
+        zero_untracked=np.int64(int(payload.zero_untracked)),
+        indices=payload.indices,
+        q_values=q_values.astype(store_dtype),
+        **_buffer_entries(payload),
+    )
 
 
 def load_sparse_quantized(model: Module, path: str) -> Module:
     """Reconstruct a model from a quantized sparse checkpoint.
 
-    Untracked weights regenerate exactly; tracked values come back at the
-    stored precision (dequantized).
+    Untracked weights regenerate exactly (or stay zero for a
+    ``zero_untracked`` run); tracked values come back at the stored
+    precision (dequantized).
     """
     payload = read_sparse_payload(path)
     if payload.kind != "quantized":

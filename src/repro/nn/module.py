@@ -47,19 +47,17 @@ class Parameter(Tensor):
         Parameter shape.
     initializer:
         Deterministic source of the initial values.
-    prunable:
-        Whether DropBack may untrack (and thus regenerate) this parameter.
-        All parameters in the paper are prunable, including BatchNorm and
-        PReLU parameters; the flag exists for ablations.
+
+    DropBack prunes every parameter, BatchNorm and PReLU parameters
+    included, as the paper does.
     """
 
-    __slots__ = ("initializer", "base_index", "prunable", "_data", "_plane_backed")
+    __slots__ = ("initializer", "base_index", "_data", "_plane_backed")
 
-    def __init__(self, shape: tuple[int, ...], initializer: Initializer, prunable: bool = True):
+    def __init__(self, shape: tuple[int, ...], initializer: Initializer):
         super().__init__(np.zeros(shape, dtype=np.float32), requires_grad=True)
         self.initializer = initializer
         self.base_index: int | None = None
-        self.prunable = bool(prunable)
 
     # -- flat-plane aliasing ------------------------------------------- #
     #

@@ -75,6 +75,7 @@ class Optimizer(abc.ABC):
         Built by ``Module.finalize``; optimizers that can express their
         update as whole-plane vectorized ops (DropBack's flat-plane step,
         in-place SGD) read and write it through the parameter views.
+        Read it on every step: ``repro.parallel.adopt_plane`` may move it.
         """
         return self.model.weight_plane
 
@@ -93,15 +94,6 @@ class Optimizer(abc.ABC):
         """
         for p in self.params:
             p.grad = flat[p.base_index : p.base_index + p.size].reshape(p.shape)
-
-    def rebind_plane(self) -> None:
-        """Refresh cached plane views after the model's plane was re-homed.
-
-        ``repro.parallel`` moves the weight plane into (and back out of)
-        shared memory via ``adopt_plane``; optimizers that cache views into
-        the plane override this to re-resolve them.  Stateless optimizers
-        need nothing.
-        """
 
     @abc.abstractmethod
     def step(self) -> None:

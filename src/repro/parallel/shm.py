@@ -176,8 +176,8 @@ def adopt_plane(model, plane: np.ndarray) -> None:
     Every parameter is re-attached as a zero-copy view at its existing
     ``base_index`` offset, exactly mirroring ``Module.finalize``'s layout —
     so ``repro.analyze.sanitize.check_plane_integrity`` holds on the new
-    buffer.  Callers follow it with ``optimizer.rebind_plane()`` so state
-    keyed on the old views (DropBack's sparse packs) is rebuilt.
+    buffer.  Optimizers read ``model.weight_plane`` and the parameter
+    views on every step, so they follow the move with no further call.
 
     Used in both directions: onto the shared arena before forking workers,
     and back onto a private heap buffer before the arena is unmapped.

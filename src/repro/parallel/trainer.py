@@ -353,10 +353,8 @@ class ParallelTrainer(Trainer):
         failed = False
         try:
             # Move the plane into the arena *before* forking so children
-            # inherit parameters that already view shared memory, then
-            # let the optimizer rebuild what keys on the old views.
+            # inherit parameters that already view shared memory.
             adopt_plane(self.model, arena.plane)
-            self.optimizer.rebind_plane()
             for rank in range(1, self.workers):
                 proc = ctx.Process(target=self._child_main, args=(rank, epochs), daemon=True)
                 proc.start()
@@ -442,7 +440,6 @@ class ParallelTrainer(Trainer):
         # the model (and any further single-process use of it) stays valid.
         restored = np.empty(arena.plane_size, dtype=np.float32)
         adopt_plane(self.model, restored)
-        self.optimizer.rebind_plane()
         arena.destroy()
         self._arena = None
         self._barrier = None

@@ -46,9 +46,7 @@ class QuantizedDropBack(DropBack):
         super().step()
         # Quantize stored (tracked) values; restore untracked to exact W(0).
         mask = self._mask_flat
-        for (lo, hi), ref, (_, p) in zip(
-            zip(self._offsets[:-1], self._offsets[1:]), self._reference, self._prunable
-        ):
+        for (lo, hi), ref, (_, p) in zip(self._spans, self._reference, self._named):
             snapped = self._quant.roundtrip(p.data)
             m = mask[lo:hi].reshape(p.shape)
             p.data = np.where(m, snapped, ref).astype(p.data.dtype)

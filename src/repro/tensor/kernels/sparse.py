@@ -4,21 +4,22 @@ The paper's regimes leave most of the weight plane at exactly zero
 (``zero_untracked`` DropBack after :meth:`freeze`, and every
 ``zero_untracked`` sparse checkpoint served by ``repro.serve``), yet the
 ``fast`` backend still multiplies all of it.  This backend packs a weight
-matrix once into CSR — the structure is the frozen tracked set, so it is
-stable across steps — and runs the forward as a sparse x dense product
-that touches only tracked entries.
+matrix into CSR — once for a registered pack or a serving payload, per
+call for any other weight measured sparse enough — and runs the forward
+as a sparse x dense product that touches only tracked entries.
 
 Dispatch policy (per call, cheapest check first):
 
 1. a **registered pack** for the weight operand (see
-   :func:`register_weight`) is used directly — the pack structure is the
-   frozen tracked set and its values re-gather lazily from the live
-   plane view after the writer calls :func:`mark_dirty` (a full gather
-   is ~8x the SpMV itself, so it must not run per call; DropBack marks
-   its packs after every frozen value update);
+   :func:`register_weight`) is used directly — the registrant asserts the
+   pack's structure, and its values re-gather lazily from the live
+   weight view after the writer calls :func:`mark_dirty` (a full gather
+   is ~8x the SpMV itself, so it must not run per call);
 2. otherwise, if the operand's measured density is at or below
    :func:`density_cutoff` (``REPRO_SPARSE_DENSITY_CUTOFF``, default
-   0.25), it is packed transiently for this call;
+   0.25), it is packed transiently for this call — this is how frozen
+   ``zero_untracked`` DropBack training runs sparse, always on the
+   current values;
 3. otherwise the call is delegated verbatim to the ``fast`` backend —
    dense workloads through the sparse backend are *bit-exact* with
    ``fast`` because they literally run its kernels.
@@ -28,9 +29,10 @@ strides, dtype), so the ``W.T`` view that ``functional.linear`` passes to
 ``matmul`` and the ``W`` view the backward passes both resolve without
 copies.  A registered pack holds a strong reference to its weight array,
 which both keeps the values readable and guarantees the address key can
-never be recycled by another allocation; callers must
-:func:`invalidate` packs when the tracked set changes or the plane is
-re-homed (DropBack does this in ``unfreeze``/``rebind_plane``).
+never be recycled by another allocation; the registrant must
+:func:`invalidate` its packs when the packed structure changes or the
+weight is re-homed (``benchmarks/bench_sparse.py`` registers and
+invalidates its gated pack this way).
 
 Numerical contract: sparse accumulation order differs from BLAS blocking,
 so sparse outputs match ``reference`` to float tolerance (documented in
@@ -139,9 +141,8 @@ class PackedWeight:
     weight view — updates the matrix in place without reconstructing it.
     The gather is random-access over the whole weight and costs several
     times the SpMV itself, so it only runs after :meth:`mark_dirty`
-    (called by whoever rewrites the backing values — DropBack's frozen
-    step does).  Static packs (built from a checkpoint payload, no live
-    backing array) never refresh.
+    (called by whoever rewrites the backing values).  Static packs (built
+    from a checkpoint payload, no live backing array) never refresh.
     """
 
     __slots__ = ("matrix", "data", "gather", "base", "nnz", "shape", "dirty")
@@ -176,9 +177,8 @@ class PackedWeight:
         self.dirty = True
 
     def refresh(self) -> None:
-        """Re-gather values from the live weight if marked dirty (frozen
-        steps rewrite tracked values in place; the structure never
-        changes, so this is a pure value gather)."""
+        """Re-gather values from the live weight if marked dirty (the
+        structure never changes, so this is a pure value gather)."""
         if self.dirty and self.base is not None:
             np.take(self.base, self.gather, out=self.data)
             self.dirty = False

@@ -153,8 +153,8 @@ class Trainer:
                 "val_accuracy": val_acc,
                 "lr": self.optimizer.lr,
             }
-            # DropBack exposes a running churn total that survives any
-            # swap_history bound; surface it for epoch-level callbacks.
+            # DropBack exposes its running churn total; surface it for
+            # epoch-level callbacks.
             total_swaps = getattr(self.optimizer, "total_swaps", None)
             if total_swaps is not None:
                 logs["total_swaps"] = int(total_swaps)

@@ -18,7 +18,7 @@ from repro.io import (
 )
 from repro.models import mnist_100_100, wrn_10_1
 from repro.optim import ConstantLR
-from repro.tensor import Tensor, cross_entropy
+from repro.tensor import Tensor
 from repro.train import Trainer, evaluate
 
 
@@ -106,20 +106,6 @@ class TestSparse:
         save_sparse(m, opt, path)
         m2 = load_sparse(wrn_10_1(), path)
         assert evaluate(m2, test) == pytest.approx(evaluate(m, test))
-
-    def test_nonprunable_rejected(self, tmp_path):
-        m = mnist_100_100()
-        m.parameters()[0].prunable = False
-        m.finalize(1)
-        opt = DropBack(m, k=100, lr=0.4, include_nonprunable=False)
-        rng = np.random.default_rng(0)
-        x = Tensor(rng.normal(size=(4, 784)).astype(np.float32))
-        y = rng.integers(0, 10, size=4)
-        loss = cross_entropy(m(x), y)
-        loss.backward()
-        opt.step()
-        with pytest.raises(ValueError):
-            save_sparse(m, opt, str(tmp_path / "x.npz"))
 
 
 class TestSizeAccounting:

@@ -295,13 +295,16 @@ class TestKernelGateWiring:
     @pytest.mark.parametrize("backend", ["reference", "sparse"])
     def test_tests_job_runs_parity_suite_on_reference_backend(self, workflow, backend):
         # The step that selects the backend must itself run the kernel
-        # parity suite and the finite-difference checks of every backward.
+        # parity suite, the finite-difference checks of every backward, and
+        # the optimizer conformance suite (DropBack's step must match its
+        # reference step whatever backend runs the forwards).
         job = workflow["jobs"]["tests"]
         steps = [s for s in job["steps"] if s.get("env") == {"REPRO_BACKEND": backend}]
         assert len(steps) == 1
         run = steps[0]["run"]
         assert "test_kernels_parity.py" in run
         assert "test_gradcheck.py" in run
+        assert "test_optimizer_conformance.py" in run
 
     def test_committed_kernel_baseline_exists_and_has_gated_ops(self):
         path = REPO_ROOT / "benchmarks" / "results" / "perf_kernels.json"

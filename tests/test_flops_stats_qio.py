@@ -13,10 +13,16 @@ from repro.analysis import (
 )
 from repro.core import DropBack
 from repro.data import DataLoader
-from repro.io import load_sparse_quantized, save_sparse, save_sparse_quantized
-from repro.models import lenet5, mnist_100_100, vgg_s
+from repro.io import (
+    load_sparse_quantized,
+    read_sparse_payload,
+    save_sparse,
+    save_sparse_quantized,
+)
+from repro.models import lenet5, mlp, mnist_100_100, vgg_s
 from repro.nn import Linear, Sequential
 from repro.optim import ConstantLR
+from repro.tensor import Tensor, cross_entropy
 from repro.train import Trainer, evaluate
 
 
@@ -164,6 +170,32 @@ class TestQuantizedCheckpoint:
         flat2 = np.concatenate([p.data.reshape(-1) for p in m2.parameters()])
         w0 = np.concatenate([p.initial_values(3).reshape(-1) for p in m2.parameters()])
         np.testing.assert_array_equal(flat2[~mask], w0[~mask])
+
+    def _zero_untracked_step(self):
+        m = mlp(6, (8,), 3).finalize(11)
+        opt = DropBack(m, k=9, lr=0.3, zero_untracked=True)
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.normal(size=(16, 6)).astype(np.float32))
+        cross_entropy(m(x), rng.integers(0, 3, size=16)).backward()
+        opt.step()
+        return m, opt
+
+    def test_zero_untracked_survives_round_trip(self, tmp_path):
+        m, opt = self._zero_untracked_step()
+        path = str(tmp_path / "q.npz")
+        save_sparse_quantized(m, opt, path, bits=8)
+        m2 = load_sparse_quantized(mlp(6, (8,), 3), path)
+        np.testing.assert_array_equal(m2.weight_plane[~opt.tracked_mask], 0.0)
+
+    def test_file_without_the_flag_regenerates(self, tmp_path):
+        """Files written before the flag was stored still load, as W(0)."""
+        m, opt = self._zero_untracked_step()
+        path = str(tmp_path / "q.npz")
+        save_sparse_quantized(m, opt, path, bits=8)
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files if key != "zero_untracked"}
+        np.savez(path, **arrays)
+        assert read_sparse_payload(path).zero_untracked is False
 
     def test_smaller_than_float_sparse(self, tmp_path, tiny_mnist):
         import os

@@ -33,9 +33,6 @@ class TestParameter:
         p.data = p.data + 100.0  # training moves weights
         np.testing.assert_array_equal(w0, p.initial_values(3))
 
-    def test_prunable_default_true(self):
-        assert Parameter((1,), ConstantInit(0.0)).prunable
-
     def test_repr(self):
         p = Parameter((2,), ConstantInit(0.0))
         assert "Parameter" in repr(p)

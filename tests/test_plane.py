@@ -139,8 +139,8 @@ class TestOptimizersPreserveAliasing:
         assert SGD(m, lr=0.1).weight_plane is m.weight_plane
 
     def test_dropback_follows_adopted_plane(self):
-        """The step slices ``model.weight_plane`` each call, so it writes
-        to the buffer the plane was moved to, with no ``rebind_plane``."""
+        """The step reads ``model.weight_plane`` on each call, so it writes
+        to the buffer the plane was moved to, with no further call."""
         m1, m2 = _model(seed=5), _model(seed=5)
         o1, o2 = DropBack(m1, k=9, lr=0.3), DropBack(m2, k=9, lr=0.3)
         moved = m2.weight_plane.copy()
@@ -187,26 +187,11 @@ class TestCheckpointRoundTrips:
 
 
 class TestHistoryBounding:
-    def test_invalid_history_limit(self):
-        with pytest.raises(ValueError):
-            DropBack(_model(), k=5, lr=0.1, history_limit=0)
-
     def test_default_keeps_full_history(self):
+        """``swap_history`` keeps every step's churn (Fig. 2 reads all of it)."""
         m = _model()
         opt = DropBack(m, k=9, lr=0.3)
         for s in range(5):
             _backward(m, s)
             opt.step()
         assert len(opt.swap_history) == 5
-
-    def test_limit_keeps_most_recent_and_total(self):
-        m1, m2 = _model(seed=5), _model(seed=5)
-        full = DropBack(m1, k=9, lr=0.3)
-        bounded = DropBack(m2, k=9, lr=0.3, history_limit=3)
-        for s in range(6):
-            _backward(m1, s)
-            _backward(m2, s)
-            full.step()
-            bounded.step()
-        assert bounded.swap_history == full.swap_history[-3:]
-        assert bounded.total_swaps == sum(full.swap_history) == full.total_swaps

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import HeapSelector, SortSelector, top_k_mask
+from repro.core import HeapSelector, top_k_mask
 
 
 class TestTopKMask:
@@ -39,11 +39,6 @@ class TestTopKMask:
 
 
 class TestSelectors:
-    def test_sort_selector_delegates(self):
-        scores = np.array([3.0, 1.0, 2.0])
-        mask = SortSelector().select(scores, 2)
-        np.testing.assert_array_equal(mask, [True, False, True])
-
     def test_heap_selector_basic(self):
         scores = np.array([3.0, 1.0, 2.0])
         mask = HeapSelector().select(scores, 2)
@@ -55,7 +50,7 @@ class TestSelectors:
             scores = rng.permutation(np.linspace(0, 1, 300))  # all distinct
             k = int(rng.integers(1, 299))
             np.testing.assert_array_equal(
-                HeapSelector().select(scores, k), SortSelector().select(scores, k)
+                HeapSelector().select(scores, k), top_k_mask(scores, k)
             )
 
     def test_heap_edge_cases(self):
@@ -67,7 +62,7 @@ class TestSelectors:
     def test_both_select_exactly_k(self):
         rng = np.random.default_rng(3)
         scores = rng.normal(size=100)
-        assert SortSelector().select(scores, 17).sum() == 17
+        assert top_k_mask(scores, 17).sum() == 17
         assert HeapSelector().select(scores, 17).sum() == 17
 
 
@@ -119,16 +114,6 @@ class TestHeapFastPath:
 
 
 class TestSelectInto:
-    @pytest.mark.parametrize("selector_cls", [SortSelector, HeapSelector])
-    def test_writes_into_buffer(self, selector_cls):
-        sel = selector_cls()
-        rng = np.random.default_rng(6)
-        scores = rng.normal(size=64)
-        out = np.ones(64, dtype=bool)  # stale contents must be cleared
-        result = sel.select_into(scores, 10, out)
-        assert result is out
-        np.testing.assert_array_equal(out, sel.select(scores, 10))
-
     def test_top_k_mask_out(self):
         scores = np.array([0.1, 5.0, 0.3, 4.0, 0.2])
         out = np.ones(5, dtype=bool)

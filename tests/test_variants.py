@@ -31,7 +31,7 @@ class TestUniformBudgetDropBack:
         opt = UniformBudgetDropBack(m, k=20, lr=0.3)
         _step(m, opt)
         counts = opt.tracked_counts()
-        budgets = dict(zip([n for n, _ in opt._prunable], opt._layer_budgets))
+        budgets = dict(zip([n for n, _ in opt._named], opt._layer_budgets))
         for name, count in counts.items():
             assert count == min(budgets[name], dict(m.named_parameters())[name].size)
 

@@ -15,7 +15,7 @@ from repro.core import DropBack
 from repro.data import DataLoader
 from repro.energy import EnergyModel
 from repro.infer import RegeneratingInferenceEngine
-from repro.io import load_sparse, save_sparse
+from repro.io import load_sparse, read_sparse_payload, save_sparse
 from repro.models import lenet5_bn, mnist_100_100
 from repro.optim import BoundedStepDecay
 from repro.tensor import Tensor, no_grad
@@ -56,11 +56,8 @@ class TestTrainToDeployWorkflow:
 
     def test_engine_serves_identical_predictions(self, pipeline):
         model, opt, hist, path, test = pipeline
-        restored = load_sparse(mnist_100_100(), path)
-        mask = opt.tracked_mask
-        flat = np.concatenate([p.data.reshape(-1) for p in restored.parameters()])
-        idx = np.flatnonzero(mask)
-        engine = RegeneratingInferenceEngine(restored, idx, flat[idx])
+        device = mnist_100_100().finalize(model.seed)
+        engine = RegeneratingInferenceEngine(device, read_sparse_payload(path))
 
         model.eval()
         with no_grad():
