@@ -515,8 +515,8 @@ BOUNDARIES = (
         home="parallel/",
         hint="use repro.parallel's ParallelTrainer/SharedArena",
     ),
-    # Packed-format invariants: int32 indices, by-reference value buffers
-    # for dirty refresh, view-keyed registration, the density cutoff.
+    # Packed-format invariants: int32 indices, view-keyed registration,
+    # the density cutoff.
     Boundary(
         module="scipy.sparse",
         calls=tuple(

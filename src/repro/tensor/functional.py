@@ -137,7 +137,8 @@ def _bn_stats(
 
     if training:
         mu = x.data.mean(axis=axes, keepdims=True)
-        var = x.data.var(axis=axes, keepdims=True)
+        # The same bits as var() without mean=, minus var's own mean pass.
+        var = x.data.var(axis=axes, keepdims=True, mean=mu)
         m = x.data.size / x.data.shape[1]  # elements per channel
         running_mean *= 1.0 - momentum
         running_mean += momentum * mu.reshape(-1)

@@ -12,9 +12,9 @@ Dispatch policy (per call, cheapest check first):
 
 1. a **registered pack** for the weight operand (see
    :func:`register_weight`) is used directly — the registrant asserts the
-   pack's structure, and its values re-gather lazily from the live
-   weight view after the writer calls :func:`mark_dirty` (a full gather
-   is ~8x the SpMV itself, so it must not run per call);
+   pack's structure, and its values are a snapshot taken at
+   registration (a registrant that rewrites the weight invalidates and
+   re-registers);
 2. otherwise, if the operand's measured density is at or below
    :func:`density_cutoff` (``REPRO_SPARSE_DENSITY_CUTOFF``, default
    0.25), it is packed transiently for this call — this is how frozen
@@ -28,16 +28,16 @@ Packs are keyed by the operand view's identity (data pointer, shape,
 strides, dtype), so the ``W.T`` view that ``functional.linear`` passes to
 ``matmul`` and the ``W`` view the backward passes both resolve without
 copies.  A registered pack holds a strong reference to its weight array,
-which both keeps the values readable and guarantees the address key can
-never be recycled by another allocation; the registrant must
-:func:`invalidate` its packs when the packed structure changes or the
-weight is re-homed (``benchmarks/bench_sparse.py`` registers and
-invalidates its gated pack this way).
+which guarantees the address key can never be recycled by another
+allocation; the registrant must :func:`invalidate` its packs when the
+packed structure or values change or the weight is re-homed
+(``benchmarks/bench_sparse.py`` registers and invalidates its gated pack
+this way).
 
 Numerical contract: sparse accumulation order differs from BLAS blocking,
 so sparse outputs match ``reference`` to float tolerance (documented in
-``docs/sparse.md``), while structure construction, value refresh, and the
-above-cutoff fallback are bitwise deterministic.
+``docs/sparse.md``), while structure construction and the above-cutoff
+fallback are bitwise deterministic.
 
 scipy is a declared dependency, but its absence only disables the packed
 paths: every kernel then falls through to ``fast``.
@@ -69,7 +69,6 @@ __all__ = [
     "pack_dense",
     "pack_from_indices",
     "register_weight",
-    "mark_dirty",
     "invalidate",
     "invalidate_all",
     "registered_pack_count",
@@ -134,54 +133,34 @@ def _view_key(arr: np.ndarray) -> tuple:
 
 
 class PackedWeight:
-    """A CSR-packed weight plus the machinery to keep its values live.
+    """A CSR snapshot of a weight's values at its tracked positions.
 
-    ``matrix`` is a ``scipy.sparse.csr_matrix`` built over ``data`` by
-    reference, so :meth:`refresh` — an O(nnz) gather from the backing
-    weight view — updates the matrix in place without reconstructing it.
-    The gather is random-access over the whole weight and costs several
-    times the SpMV itself, so it only runs after :meth:`mark_dirty`
-    (called by whoever rewrites the backing values).  Static packs (built
-    from a checkpoint payload, no live backing array) never refresh.
+    ``matrix`` is a ``scipy.sparse.csr_matrix``.  ``base``, set for packs
+    gathered from a live weight, is a strong reference to that weight: it
+    keeps the weight's address, and so a registered pack's key, from being
+    reused by another allocation.  Packs built from a checkpoint payload
+    have no ``base``.
     """
 
-    __slots__ = ("matrix", "data", "gather", "base", "nnz", "shape", "dirty")
+    __slots__ = ("matrix", "base", "nnz", "shape")
 
-    def __init__(self, matrix, gather: np.ndarray | None = None,
-                 base: np.ndarray | None = None):
+    def __init__(self, matrix, base: np.ndarray | None = None):
         self.matrix = matrix
-        self.data = matrix.data
-        self.gather = gather
         self.base = base
         self.nnz = int(matrix.data.size)
         self.shape = tuple(matrix.shape)
-        self.dirty = False
 
     @property
     def nbytes(self) -> int:
         """Bytes held by the packed structure (values + index arrays)."""
         m = self.matrix
-        total = m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
-        if self.gather is not None:
-            total += self.gather.nbytes
-        return total
+        return m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
 
     @property
     def density(self) -> float:
         rows, cols = self.shape
         size = rows * cols
         return self.nnz / size if size else 0.0
-
-    def mark_dirty(self) -> None:
-        """Note that the backing values changed; the next use re-gathers."""
-        self.dirty = True
-
-    def refresh(self) -> None:
-        """Re-gather values from the live weight if marked dirty (the
-        structure never changes, so this is a pure value gather)."""
-        if self.dirty and self.base is not None:
-            np.take(self.base, self.gather, out=self.data)
-            self.dirty = False
 
 
 def _require_scipy() -> None:
@@ -198,8 +177,8 @@ def _csr_from_flat(shape: tuple[int, int], flat: np.ndarray, values: np.ndarray,
     nonzero positions are ``flat`` — bitwise identical to what
     ``csr_matrix(dense)`` builds, proven in tests.
 
-    Returns ``(indptr, indices, data, order)`` where ``order`` permutes
-    ``flat``/``values`` into CSR storage order.
+    Returns ``(indptr, indices, data)``; ``data`` is ``values`` copied
+    into CSR storage order.
     """
     rows_n, cols_n = shape
     r, c = np.divmod(flat, cols_n)
@@ -211,7 +190,7 @@ def _csr_from_flat(shape: tuple[int, int], flat: np.ndarray, values: np.ndarray,
         row_ids, col_ids, nrows = r, c, rows_n
     indptr = np.zeros(nrows + 1, dtype=np.int32)
     np.cumsum(np.bincount(row_ids, minlength=nrows), out=indptr[1:])
-    return indptr, col_ids.astype(np.int32), values[order], order
+    return indptr, col_ids.astype(np.int32), values[order]
 
 
 def pack_from_indices(
@@ -226,10 +205,10 @@ def pack_from_indices(
 
     ``flat_indices`` are ascending row-major positions into the 2-D
     ``shape``; values come either from ``values`` (aligned with
-    ``flat_indices``, e.g. a checkpoint payload) or are gathered from
-    ``base`` (a flat view of the live weight) now and on every
-    :meth:`PackedWeight.refresh`.  ``transpose=True`` packs the
-    transposed matrix instead (same flat positions, CSC-order traversal).
+    ``flat_indices``, e.g. a checkpoint payload) or are gathered once from
+    ``base`` (a flat view of the live weight, which the pack keeps
+    referenced).  ``transpose=True`` packs the transposed matrix instead
+    (same flat positions, CSC-order traversal).
     """
     _require_scipy()
     flat = np.asarray(flat_indices, dtype=np.int64)
@@ -243,16 +222,14 @@ def pack_from_indices(
         vals = np.asarray(values)
         if vals.shape != flat.shape:
             raise ValueError("values must align one-to-one with flat_indices")
-    indptr, indices, data, order = _csr_from_flat(shape, flat, vals, transpose)
+    indptr, indices, data = _csr_from_flat(shape, flat, vals, transpose)
     out_shape = (shape[1], shape[0]) if transpose else shape
     matrix = _sp.csr_matrix((data, indices, indptr), shape=out_shape)
-    if base is None:
-        return PackedWeight(matrix)
-    return PackedWeight(matrix, gather=flat[order], base=base)
+    return PackedWeight(matrix, base=base)
 
 
 def pack_dense(w: np.ndarray, *, transpose: bool = False) -> PackedWeight:
-    """Pack a dense 2-D array (static snapshot, no live refresh)."""
+    """Pack a dense 2-D array (a snapshot of its nonzeros)."""
     _require_scipy()
     if w.ndim != 2:
         raise ValueError(f"pack_dense expects a 2-D array, got shape {w.shape}")
@@ -265,7 +242,7 @@ def register_weight(w: np.ndarray, flat_indices: np.ndarray | None = None) -> tu
     * 2-D ``w`` (a Linear weight, shape ``(out, in)``): registers the
       ``w.T`` orientation (the operand ``functional.linear`` passes to
       ``matmul``) *and* the ``w`` orientation (the backward's ``g @ w``
-      product), sharing one gather source.
+      product), both gathered from it now.
     * 4-D ``w`` (a conv kernel): registers the ``(F, C*KH*KW)`` pack the
       ``conv2d_forward`` kernel consumes.
 
@@ -295,21 +272,6 @@ def register_weight(w: np.ndarray, flat_indices: np.ndarray | None = None) -> tu
         _PACKS[key] = pack
         keys.append(key)
     return tuple(keys)
-
-
-def mark_dirty(keys) -> int:
-    """Flag registered packs whose backing values were rewritten in place.
-
-    Cheap (a bool per pack); the O(nnz) value re-gather happens lazily on
-    each pack's next use.  Returns how many packs were present.
-    """
-    marked = 0
-    for key in keys:
-        pack = _PACKS.get(key)
-        if pack is not None:
-            pack.mark_dirty()
-            marked += 1
-    return marked
 
 
 def invalidate(keys) -> int:
@@ -342,7 +304,6 @@ def _auto_packable(mat2d: np.ndarray) -> bool:
 
 def _spmm(pack: PackedWeight, a: np.ndarray) -> np.ndarray:
     """``a @ b`` where ``pack`` holds CSR(``b.T``): ``(bT_csr @ a.T).T``."""
-    pack.refresh()
     if a.ndim == 1:
         return pack.matrix @ a
     # op output buffer; escapes to the caller
@@ -399,7 +360,6 @@ def conv2d_forward(
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
     cols = _reference.im2col(xp, kh, kw, stride, stride, oh, ow)  # (N, K, OH*OW)
     k, ohw = cols.shape[1], oh * ow
-    pack.refresh()
     # One SpMM over the whole batch: (F, K) @ (K, N*OH*OW).
     flat_cols = np.moveaxis(cols, 0, 1).reshape(k, n * ohw)
     out2 = pack.matrix @ flat_cols
@@ -450,7 +410,6 @@ def sparse_linear(pack: PackedWeight, x: np.ndarray,
     pack holds CSR of the ``(out, in)`` weight itself, so the product is
     one CSR x dense-transpose SpMM per layer.
     """
-    pack.refresh()
     out = np.ascontiguousarray((pack.matrix @ x.T).T)
     if bias is not None:
         out += bias

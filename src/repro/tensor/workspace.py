@@ -3,7 +3,9 @@
 The col2im scatter-add — and the pooling forward/backward staging buffers,
 im2col patch buffers, and GEMM outputs in the ``fast`` backend — need a
 large temporary every call; for a conv net that is one allocation per layer
-per step.  The buffers are reused via a small per-(shape, dtype) pool.
+per step.  The buffers are reused via a per-(shape, dtype) pool, which
+grows to the most buffers of one key held at once (a key's buffers are
+allocated in the first step, and later steps find them free again).
 
 Reuse is only safe once no other array still aliases the buffer (the
 returned gradient or forward output is the buffer itself, or an interior
@@ -42,7 +44,6 @@ __all__ = [
 
 _WORKSPACE_LOCK = threading.Lock()
 _WORKSPACE: dict[tuple, list[np.ndarray]] = {}
-_WORKSPACE_MAX_PER_KEY = 4
 # ids of free buffers that the sanitizer has NaN-filled; consulted (and
 # verified) the next time the pool hands the buffer out.
 _POISONED: set[int] = set()
@@ -128,7 +129,6 @@ def acquire_workspace(shape: tuple[int, ...], dtype, zero: bool = True) -> np.nd
                 add_counter("conv.workspace_hits")
                 return buf
         buf = np.zeros(shape, dtype=dtype)
-        if len(pool) < _WORKSPACE_MAX_PER_KEY:
-            pool.append(buf)
+        pool.append(buf)
         add_counter("conv.workspace_misses")
         return buf

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import ELU, GELU, LeakyReLU, Linear, ReLU, Sequential, Softplus
+from repro.nn import ELU, GELU, LeakyReLU, Linear, Sequential, Softplus
 from repro.tensor import Tensor
 
 

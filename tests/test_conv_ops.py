@@ -226,14 +226,50 @@ class TestWorkspaceCache:
             clear_workspace_cache()
 
 
+    def test_vgg_steps_after_the_first_allocate_no_workspace(self, rng):
+        """Once the first step has filled the pool, a VGG-S training step
+        finds every buffer it needs there, however many of one shape it
+        holds at once (five conv weight gradients share one key)."""
+        from repro import profile
+        from repro.core import DropBack
+        from repro.models import vgg_s
+        from repro.tensor import cross_entropy, kernels
+        from repro.tensor.workspace import clear_workspace_cache
+
+        model = vgg_s(width_mult=0.125).finalize(0)
+        opt = DropBack(model, k=20_000, lr=0.05)
+        x = rng.standard_normal((8, 3, 32, 32)).astype(np.float32)
+        y = rng.integers(0, 10, size=8)
+        clear_workspace_cache()
+        was_enabled = profile.is_enabled()
+        profile.enable()
+        misses = []
+        try:
+            with kernels.use_backend("fast"):
+                for _ in range(5):
+                    before = profile.snapshot()["counters"].get("conv.workspace_misses", 0)
+                    opt.zero_grad()
+                    cross_entropy(model(Tensor(x)), y).backward()
+                    opt.step()
+                    after = profile.snapshot()["counters"].get("conv.workspace_misses", 0)
+                    misses.append(after - before)
+        finally:
+            if not was_enabled:
+                profile.disable()
+            clear_workspace_cache()
+        assert misses[0] > 0
+        assert misses[1:] == [0, 0, 0, 0]
+
+
 class TestPoolWorkspace:
     """max/avg pooling backward buffers come from the conv workspace pool."""
 
     @pytest.mark.parametrize("pool_fn", [max_pool2d, avg_pool2d])
     def test_pool_forward_reuses_cached_workspace(self, rng, pool_fn):
-        """The fast backend's pooling *forward* scratch (window candidates /
-        accumulation target) also comes from the pool: repeated steps over
-        the same shape must climb ``conv.workspace_hits``."""
+        """The fast backend's pooling *forward* output (the max pool's
+        running maximum, the avg pool's accumulation target) also comes
+        from the pool: repeated steps over the same shape must climb
+        ``conv.workspace_hits``."""
         from repro import profile
         from repro.tensor import kernels, no_grad
         from repro.tensor.workspace import clear_workspace_cache

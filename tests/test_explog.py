@@ -1,7 +1,5 @@
 """Tests for the JSONL experiment logger."""
 
-import json
-
 import numpy as np
 import pytest
 

@@ -8,7 +8,6 @@ from repro.hw import (
     SRAM_64KB,
     AcceleratorModel,
     MemoryHierarchy,
-    MemoryLevel,
     RegenerationUnit,
 )
 from repro.models import mnist_100_100

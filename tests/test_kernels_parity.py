@@ -2,8 +2,9 @@
 
 The ``reference`` backend is the pre-dispatch numpy code verbatim, so any
 other backend must reproduce it — bit-exactly for pure gather/scatter and
-elementwise ops (relu masks, pooling argmax), and within float32
-round-off for ops whose fast path reassociates a GEMM or a normalization.
+elementwise ops (relu masks, pooling winners, the batchnorm backward), and
+within float32 round-off for ops whose fast path reassociates a GEMM or a
+normalization.
 Backwards are checked through the matching kernel pair (a fast forward's
 ctx feeds the fast backward), exactly as the tape wires them.
 """
@@ -202,12 +203,14 @@ class TestBatchNormParity:
         _, ctx_r = fwd_r(x, g_, b_, mu, var, 1e-5)
         grads_f = bwd_f(g, ctx_f, axes, training, True, True, True)
         grads_r = bwd_r(g, ctx_r, axes, training, True, True, True)
+        # The fast ctx recomputes xhat as the reference forward computes
+        # it, so the backward pair agrees bit for bit (no BLAS involved).
         for got, want in zip(grads_f, grads_r):
-            np.testing.assert_allclose(got, want, rtol=5e-5, atol=1e-5)
+            _assert_same_bits(got, want)
 
 
 # --------------------------------------------------------------------- #
-# pooling (bit-exact: argmax and window sums iterate identically)
+# pooling (bit-exact: the same winners and window sums, in the same order)
 # --------------------------------------------------------------------- #
 
 
@@ -224,15 +227,62 @@ class TestPoolingParity:
 
     @pytest.mark.parametrize("op", ["max_pool2d", "avg_pool2d"])
     def test_backward_through_fast_forward_ctx(self, op):
-        # Pool backwards resolve to reference; they must accept the ctx a
-        # fast forward produced (ctx schema is part of the kernel contract).
+        # The backward the tape pairs with a fast forward (fast for max
+        # pooling; the reference kernel for average pooling, which falls
+        # back) must accept its ctx and agree with the reference pair.
         ref_fwd, fast_fwd = _pair(f"{op}_forward", "fast")
-        bwd = registry._KERNELS[f"{op}_backward"]["reference"]
+        ref_bwd = registry._KERNELS[f"{op}_backward"]["reference"]
+        _, fast_bwd = kernels.resolve(f"{op}_backward", "fast")
         x = RNG.standard_normal((2, 3, 8, 8)).astype(np.float32)
         g = RNG.standard_normal((2, 3, 4, 4)).astype(np.float32)
         _, ctx_f = fast_fwd(x, 2, 2, 4, 4)
         _, ctx_r = ref_fwd(x, 2, 2, 4, 4)
-        np.testing.assert_array_equal(bwd(g, ctx_f), bwd(g, ctx_r))
+        np.testing.assert_array_equal(fast_bwd(g, ctx_f), ref_bwd(g, ctx_r))
+
+
+def _assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    """Equal values (NaN matching NaN) and the same sign on every zero."""
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestMaxPoolBitExact:
+    """The fast max pool (running maximum forward, winner search in
+    backward) against the reference argmax, bit for bit, on the inputs
+    where a winner search can differ: ties, signed zeros, NaN, windows
+    that overlap and a border no window covers.  No BLAS call runs here."""
+
+    @staticmethod
+    def _input(fill: str, hw: int, rng: np.random.Generator) -> np.ndarray:
+        x = rng.standard_normal((2, 3, hw, hw)).astype(np.float32)
+        if fill == "relu":  # the all-zero windows ReLU makes, and ties at 0
+            x = np.maximum(x, 0.0)
+            x[0, 0] = 0.0
+        elif fill == "signed_zeros":  # every window ties between +0 and -0
+            x = np.where(rng.random(x.shape) < 0.5, -0.0, 0.0).astype(np.float32)
+        elif fill == "nan":  # one NaN in a window, two in another
+            x[0, 0, 1, 1] = np.nan
+            x[1, 2, 0, 0] = x[1, 2, 0, 1] = np.nan
+        return x
+
+    @pytest.mark.parametrize(
+        "kernel,stride,hw",
+        [(2, 2, 8), (2, 2, 9), (3, 2, 9), (3, 1, 6)],
+        ids=["tiled", "odd_border", "overlap", "overlap_stride1"],
+    )
+    @pytest.mark.parametrize("fill", ["normal", "relu", "signed_zeros", "nan"])
+    def test_forward_and_backward(self, kernel, stride, hw, fill):
+        rng = np.random.default_rng(7)
+        x = self._input(fill, hw, rng)
+        oh = ow = (hw - kernel) // stride + 1
+        g = rng.standard_normal((2, 3, oh, ow)).astype(np.float32)
+        g[0, :, 0, :] = -0.0  # a -0.0 upstream gradient
+        fwd_r, fwd_f = _pair("max_pool2d_forward", "fast")
+        bwd_r, bwd_f = _pair("max_pool2d_backward", "fast")
+        out_f, ctx_f = fwd_f(x, kernel, stride, oh, ow)
+        out_r, ctx_r = fwd_r(x, kernel, stride, oh, ow)
+        _assert_same_bits(out_f, out_r)
+        _assert_same_bits(bwd_f(g, ctx_f), bwd_r(g, ctx_r))
 
 
 # --------------------------------------------------------------------- #

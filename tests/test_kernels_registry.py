@@ -68,13 +68,13 @@ class TestSelection:
         assert name == "reference"
 
     def test_missing_registration_falls_back_to_reference(self):
-        # max_pool2d_backward is only registered on reference; resolving it
+        # avg_pool2d_backward is only registered on reference; resolving it
         # under fast must return the reference kernel, with the name
         # reflecting that.
         kernels.set_backend("fast")
-        name, fn = kernels.resolve("max_pool2d_backward")
+        name, fn = kernels.resolve("avg_pool2d_backward")
         assert name == "reference"
-        assert fn is registry._KERNELS["max_pool2d_backward"]["reference"]
+        assert fn is registry._KERNELS["avg_pool2d_backward"]["reference"]
 
     def test_missing_registration_falls_back_through_default(self):
         # An op the sparse backend lacks runs on fast when fast has it, and

@@ -3,8 +3,8 @@
 The contract under test (``docs/sparse.md``): registered or transiently
 packed operands run through CSR and match ``reference`` to float
 tolerance; anything above the density cutoff is delegated verbatim to
-``fast`` and is therefore *bit-exact* with it; pack construction and the
-dirty-flag value refresh are deterministic.
+``fast`` and is therefore *bit-exact* with it; pack construction is
+deterministic.
 """
 
 from __future__ import annotations
@@ -251,21 +251,15 @@ class TestRegisteredPacks:
         out = sparse.matmul(np.eye(6, dtype=np.float32), w.T)
         np.testing.assert_allclose(out, w.T, rtol=GEMM_RTOL, atol=GEMM_ATOL)
 
-    def test_values_stale_until_marked_dirty(self):
+    def test_registered_pack_is_a_snapshot(self):
         w = np.zeros((8, 6), dtype=np.float32)
         flat = np.array([0, 7, 13, 25, 41], dtype=np.int64)
         w.reshape(-1)[flat] = 1.0
-        keys = sparse.register_weight(w, flat)
+        sparse.register_weight(w, flat)
         x = RNG.standard_normal((4, 6)).astype(np.float32)
         before = sparse.matmul(x, w.T)
-        w.reshape(-1)[flat] = 2.0  # in-place rewrite, as the frozen step does
-        np.testing.assert_array_equal(sparse.matmul(x, w.T), before)  # stale
-        assert sparse.mark_dirty(keys) == len(keys)
-        # Doubling every value doubles the products and sums exactly.
-        np.testing.assert_array_equal(sparse.matmul(x, w.T), 2.0 * before)
-
-    def test_mark_dirty_ignores_unknown_keys(self):
-        assert sparse.mark_dirty([("bogus",)]) == 0
+        w.reshape(-1)[flat] = 2.0  # an in-place rewrite the pack does not see
+        np.testing.assert_array_equal(sparse.matmul(x, w.T), before)
 
     def test_non_contiguous_weight_rejected(self):
         w = _sparse_matrix((8, 6), 0.2)

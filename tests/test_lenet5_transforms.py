@@ -15,7 +15,6 @@ from repro.data import (
     RandomHorizontalFlip,
 )
 from repro.models import lenet5, lenet5_bn, lenet5_prelu
-from repro.nn import PReLU
 from repro.optim import ConstantLR
 from repro.tensor import Tensor
 from repro.train import Trainer

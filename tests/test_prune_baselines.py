@@ -10,7 +10,6 @@ from repro.prune import (
     LOG_ALPHA_THRESHOLD,
     MagnitudePruning,
     SlimmingSGD,
-    VDConv2d,
     VDLinear,
     bn_gammas,
     make_variational,

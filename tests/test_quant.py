@@ -4,7 +4,6 @@ combinable with DropBack)."""
 import numpy as np
 import pytest
 
-from repro.core import DropBack
 from repro.data import DataLoader
 from repro.models import mnist_100_100
 from repro.optim import ConstantLR
