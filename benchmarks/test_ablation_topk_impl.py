@@ -2,10 +2,11 @@
 
 Paper Section 2.2: the listing sorts for clarity, but "in a practical
 implementation the tracked accumulated gradient set is stored [in] a
-priority queue of size k".  Both are implemented; they select identical
-sets on distinct scores, and this bench compares their software cost (the
-vectorized argpartition wins on CPU; the heap models the streaming hardware
-access pattern).
+priority queue of size k".  Both are implemented (``top_k_mask`` and the
+pure-Python ``select_scan``); they select identical sets on distinct
+scores, and this bench compares their software cost (the vectorized
+argpartition wins on CPU; the scan models the streaming hardware access
+pattern).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import HeapSelector, top_k_mask
+from repro.core import select_scan, top_k_mask
 from repro.utils import format_table
 
 from common import emit_report, profiled_run
@@ -29,7 +30,7 @@ def scores():
 
 def test_selectors_agree(scores, benchmark):
     sort_mask = top_k_mask(scores, K)
-    heap_mask = HeapSelector().select(scores, K)
+    heap_mask = select_scan(scores, K)
     np.testing.assert_array_equal(sort_mask, heap_mask)
 
     emit_report(
@@ -62,7 +63,7 @@ def test_perf_report_emitted(scores):
         with profile.profiled("selector.sort"):
             top_k_mask(scores, K)
         with profile.profiled("selector.heap"):
-            HeapSelector().select(scores, K)
+            select_scan(scores, K)
 
     report = profiled_run(
         "ablation_topk_impl", sweep, meta={"n": N, "k": K, "bench": "ablation_topk_impl"}
@@ -72,4 +73,4 @@ def test_perf_report_emitted(scores):
 
 
 def test_benchmark_heap_selector(scores, benchmark):
-    benchmark.pedantic(lambda: HeapSelector().select(scores, K), rounds=3, iterations=1)
+    benchmark.pedantic(lambda: select_scan(scores, K), rounds=3, iterations=1)

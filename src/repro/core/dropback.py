@@ -20,14 +20,15 @@ Only ``k`` weights are ever stored; the weight-memory compression ratio is
 Implementation
 --------------
 The optimizer runs on the model's **flat weight plane** built by
-``Module.finalize``: every parameter is a view of one contiguous float32
-buffer, so candidates, scores, and the commit are a handful of whole-plane
-vectorized ops against scratch buffers preallocated in ``__init__`` — no
-per-parameter Python loop over array ops, and no per-step allocation after
-warmup.  :meth:`freeze` precomputes the tracked index array plus per-layer
-gather/scatter slices, after which each step touches **only the k tracked
-entries** (O(k) gather → update → scatter, timed as
-``dropback.step.frozen``) instead of O(total_params).
+``Module.finalize`` and reads gradients from its **gradient plane**
+(``Module.grad_plane``, laid out the same way): every parameter and its
+gradient are views of two contiguous float32 buffers, so candidates,
+scores, and the commit are a handful of whole-plane vectorized ops against
+scratch buffers preallocated in ``__init__`` — no per-parameter Python
+loop over array ops, and no per-step allocation after warmup.
+:meth:`freeze` precomputes the tracked index array, after which each step
+touches **only the k tracked entries** (O(k) gather → update → scatter,
+timed as ``dropback.step.frozen``) instead of O(total_params).
 
 The seed per-parameter implementation is retained verbatim as
 :meth:`reference_step`; the optimizer conformance suite proves both paths
@@ -101,10 +102,8 @@ class DropBack(Optimizer):
         # Parameters in plane order: parameter i is weight_plane[lo:hi]
         # for (lo, hi) = _spans[i].
         self._named: list[tuple[str, Parameter]] = list(model.named_parameters())
-        self._sizes = [p.size for _, p in self._named]
-        self._offsets = np.concatenate([[0], np.cumsum(self._sizes)]).astype(np.int64)
-        self._spans = list(zip(self._offsets[:-1], self._offsets[1:]))
-        n = self._n = int(self._offsets[-1])
+        self._spans = [(p.base_index, p.base_index + p.size) for _, p in self._named]
+        n = self._n = model.weight_plane.size
 
         # The reset reference untracked weights take: W(0), or 0 in the
         # zeroing ablation.  `_reference` holds per-parameter views of it
@@ -117,10 +116,8 @@ class DropBack(Optimizer):
                            for (lo, hi), (_, p) in zip(self._spans, self._named)]
 
         # Whole-plane scratch (allocated once; the hot step never allocates).
-        self._g_flat = np.zeros(n, dtype=np.float32)  # gathered gradients
         self._cand_flat = np.empty(n, dtype=np.float32)  # SGD candidates W'
-        self._score32 = np.empty(n, dtype=np.float32)  # criterion, pre-upcast
-        self._scores = np.empty(n, dtype=np.float64)  # selection input
+        self._score32 = np.empty(n, dtype=np.float32)  # selection scores
         self._mask_scratch = np.empty(n, dtype=bool)  # _select's output buffer
         self._mask_store = np.empty(n, dtype=bool)  # committed tracked set
         self._swap_scratch = np.empty(n, dtype=bool)  # churn = mask & ~prev
@@ -131,9 +128,8 @@ class DropBack(Optimizer):
         self.swap_history: list[int] = []
         self.total_swaps: int = 0  # running churn total
 
-        # Frozen-path index machinery, built by freeze().
+        # Frozen-path index array and O(k) scratch, built by freeze().
         self._tracked_idx: np.ndarray | None = None
-        self._frozen_segs: list[tuple[Parameter, int, int, np.ndarray]] = []
         self._g_k: np.ndarray | None = None
         self._w_k: np.ndarray | None = None
 
@@ -164,9 +160,8 @@ class DropBack(Optimizer):
 
         Subsequent steps only update weights already tracked; untracked
         gradients are no longer scored, saving the associated accesses.
-        Freezing precomputes the sorted tracked index array and, per
-        parameter, the gather/scatter slice into it, so every frozen step
-        is O(k) work touching only the tracked entries.
+        Freezing precomputes the sorted tracked index array, so every
+        frozen step is O(k) work touching only the tracked entries.
         """
         if self._mask_flat is None:
             raise RuntimeError("cannot freeze before the first step")
@@ -175,18 +170,11 @@ class DropBack(Optimizer):
         self._tracked_idx = idx
         self._g_k = np.empty(idx.size, dtype=np.float32)
         self._w_k = np.empty(idx.size, dtype=np.float32)
-        bounds = np.searchsorted(idx, self._offsets)
-        self._frozen_segs = []
-        for i, ((lo, _), (_, p)) in enumerate(zip(self._spans, self._named)):
-            s, e = int(bounds[i]), int(bounds[i + 1])
-            if s < e:
-                self._frozen_segs.append((p, s, e, idx[s:e] - lo))
 
     def unfreeze(self) -> None:
         """Resume tracked-set re-selection (for experiments)."""
         self.frozen = False
         self._tracked_idx = None
-        self._frozen_segs = []
         self._g_k = None
         self._w_k = None
 
@@ -207,16 +195,11 @@ class DropBack(Optimizer):
     def _unfrozen_step(self) -> None:
         lr = self.lr
         w = self.weight_plane  # read per step: follows adopt_plane
+        g = self.model.grad_plane
 
         # 1. SGD candidates W' = W - lr*g as two whole-plane ops.
         with profiled("dropback.accumulate"):
-            for (lo, hi), (_, p) in zip(self._spans, self._named):
-                gseg = self._g_flat[lo:hi]
-                if p.grad is None:
-                    gseg.fill(0.0)
-                else:
-                    np.copyto(gseg.reshape(p.shape), p.grad)
-            np.multiply(self._g_flat, lr, out=self._cand_flat)
+            np.multiply(g, lr, out=self._cand_flat)
             np.subtract(w, self._cand_flat, out=self._cand_flat)
 
         reference = self._ref_flat
@@ -234,10 +217,9 @@ class DropBack(Optimizer):
             elif self.criterion == "magnitude":
                 np.abs(self._cand_flat, out=s32)
             else:  # current-step gradient
-                np.multiply(self._g_flat, lr, out=s32)
+                np.multiply(g, lr, out=s32)
                 np.abs(s32, out=s32)
-            self._scores[...] = s32
-            mask = self._select(self._scores)
+            mask = self._select(s32)
         self._record_selection(mask)
         mask = self._mask_flat
 
@@ -249,11 +231,7 @@ class DropBack(Optimizer):
     def _frozen_step(self) -> None:
         """O(k) frozen update: gather tracked grads, update, scatter back."""
         gk, wk = self._g_k, self._w_k
-        for p, s, e, li in self._frozen_segs:
-            if p.grad is None:
-                gk[s:e] = 0.0
-            else:
-                np.take(p.grad, li, out=gk[s:e])
+        np.take(self.model.grad_plane, self._tracked_idx, out=gk)
         np.multiply(gk, self.lr, out=gk)
         w = self.weight_plane
         np.take(w, self._tracked_idx, out=wk)

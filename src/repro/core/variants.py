@@ -34,17 +34,18 @@ class UniformBudgetDropBack(DropBack):
         super().__init__(model, k, lr, **kwargs)
         total = self._n
         target = min(k, total)
+        sizes = [hi - lo for lo, hi in self._spans]
         # Largest-remainder apportionment: floors first, then hand out the
         # remainder by fractional part; every layer keeps at least one slot
         # and never exceeds its size.
-        raw = [target * size / total for size in self._sizes]
-        budgets = [max(1, min(size, int(r))) for r, size in zip(raw, self._sizes)]
+        raw = [target * size / total for size in sizes]
+        budgets = [max(1, min(size, int(r))) for r, size in zip(raw, sizes)]
         while sum(budgets) < target:
             # Most under-served layer (by fractional shortfall) with headroom.
             candidates = [
                 (raw[j] - budgets[j], j)
                 for j in range(len(budgets))
-                if budgets[j] < self._sizes[j]
+                if budgets[j] < sizes[j]
             ]
             if not candidates:
                 break

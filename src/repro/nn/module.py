@@ -19,6 +19,11 @@ that cannot broadcast into the view raises ``ValueError`` and leaves the
 plane untouched.  A finalized parameter therefore always aliases
 ``model.weight_plane``, whatever optimizer or checkpoint code assigns it.
 
+Gradients get the same layout in ``model.grad_plane``, allocated on first
+use (a model that only serves never pays for it); each ``Parameter.grad``
+is then a write-through view of its span, so flat consumers read the plane
+while per-parameter code keeps reading ``p.grad``.
+
 Typical lifecycle::
 
     model = lenet_300_100()
@@ -52,7 +57,7 @@ class Parameter(Tensor):
     included, as the paper does.
     """
 
-    __slots__ = ("initializer", "base_index", "_data", "_plane_backed")
+    __slots__ = ("initializer", "base_index", "_data", "_plane_backed", "_grad", "_grad_view")
 
     def __init__(self, shape: tuple[int, ...], initializer: Initializer):
         super().__init__(np.zeros(shape, dtype=np.float32), requires_grad=True)
@@ -89,6 +94,23 @@ class Parameter(Tensor):
                 f"cannot assign an array of shape {arr.shape} to {self!r}: it does "
                 f"not broadcast to the parameter's plane view of shape {view.shape}"
             ) from exc
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self._grad
+
+    @grad.setter
+    def grad(self, value) -> None:
+        # Once the gradient plane exists: copy in (a -0.0 keeps its sign),
+        # or zero the span for None, which reads back as None.
+        view = getattr(self, "_grad_view", None)
+        if view is not None:
+            if value is None:
+                view.fill(0.0)
+            elif value is not view:
+                np.copyto(view, value)
+                value = view
+        self._grad = value
 
     @property
     def plane_backed(self) -> bool:
@@ -176,16 +198,18 @@ class Module:
         stateless regeneration path.  The same walk allocates the flat
         weight plane — ``plane[p.base_index : p.base_index + p.size]``
         *is* ``p.data`` (a reshaped zero-copy view) for every parameter.
-        Idempotent for the same seed (each call rebuilds the plane).
+        Idempotent for the same seed (each call rebuilds the plane and drops the grad plane).
         """
         params = [p for _, p in self.named_parameters()]
         plane = np.zeros(sum(p.size for p in params), dtype=np.float32)
         offset = 0
         for p in params:
             p._attach_plane(plane[offset : offset + p.size].reshape(p.shape))
+            p._grad_view = None
             p.initialize(seed, offset)
             offset += p.size
         self._plane = plane
+        self._grad_plane = None
         self._seed = int(seed)
         return self
 
@@ -195,6 +219,26 @@ class Module:
         :meth:`finalize`).  Indexed by the global flat index space:
         ``weight_plane[p.base_index + i] == p.data.reshape(-1)[i]``."""
         return getattr(self, "_plane", None)
+
+    @property
+    def grad_plane(self) -> np.ndarray:
+        """The flat float32 gradient buffer, laid out like :attr:`weight_plane`.
+
+        Allocated on first access; from then on every ``p.grad`` is a
+        write-through view of ``grad_plane[p.base_index : p.base_index +
+        p.size]``, and a span whose ``p.grad`` is ``None`` holds zeros.
+        """
+        plane = getattr(self, "_grad_plane", None)
+        if plane is None:
+            if self.weight_plane is None:
+                raise RuntimeError("model not finalized; call finalize(seed) first")
+            plane = np.zeros(self.weight_plane.size, dtype=np.float32)
+            for p in self.parameters():
+                grad = p.grad
+                p._grad_view = plane[p.base_index : p.base_index + p.size].reshape(p.shape)
+                p.grad = grad  # a gradient set before the plane is carried in
+            self._grad_plane = plane
+        return plane
 
     @property
     def seed(self) -> int:

@@ -80,20 +80,7 @@ class Optimizer(abc.ABC):
         return self.model.weight_plane
 
     def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
-
-    def load_flat_grad(self, flat) -> None:
-        """Install gradients from a flat, plane-indexed buffer.
-
-        ``flat`` is indexed by the global flat index space (same layout as
-        the weight plane); each parameter's gradient becomes a zero-copy
-        reshaped view of its ``[base_index, base_index + size)`` span.  The
-        data-parallel trainer uses this to hand the deterministically
-        reduced global gradient to an unmodified ``step()``.
-        """
-        for p in self.params:
-            p.grad = flat[p.base_index : p.base_index + p.size].reshape(p.shape)
+        self.model.zero_grad()
 
     @abc.abstractmethod
     def step(self) -> None:

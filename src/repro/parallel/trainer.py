@@ -144,7 +144,6 @@ class ParallelTrainer(Trainer):
         self._arena: SharedArena | None = None
         self._barrier = None
         self._fence = None
-        self._reduced: np.ndarray | None = None
 
     # ------------------------------------------------------------------ #
     # geometry
@@ -216,7 +215,8 @@ class ParallelTrainer(Trainer):
         """Tree-sum this rank's ``q`` microbatch gradients into its slot.
 
         Each leaf reads its microbatch when the tree needs it, so data
-        fetch is part of the step.
+        fetch is part of the step.  A leaf is a copy of the gradient plane
+        after its backward (zeros where a parameter got no gradient).
         """
         plan = self._plan
         arena = self._arena
@@ -229,12 +229,7 @@ class ParallelTrainer(Trainer):
             loss = self.loss_fn(logits, y)
             loss.backward()
             losses.append(loss.item())
-            flat = np.zeros(arena.plane_size, dtype=np.float32)
-            for p in self.model.parameters():
-                if p.grad is not None:
-                    seg = flat[p.base_index : p.base_index + p.size]
-                    np.copyto(seg.reshape(p.shape), p.grad)
-            return flat
+            return self.model.grad_plane.copy()
 
         tree_sum_range(plan.q, leaf, out=arena.grads[rank])
         arena.losses[rank] = tree_sum_scalars(losses)
@@ -348,7 +343,6 @@ class ParallelTrainer(Trainer):
         arena = SharedArena(self.model.weight_plane.size, self.workers)
         self._arena = arena
         self._barrier = ctx.Barrier(self.workers)
-        self._reduced = np.empty(arena.plane_size, dtype=np.float32)
         procs: list = []
         failed = False
         try:
@@ -386,13 +380,15 @@ class ParallelTrainer(Trainer):
             if arena.flag(SharedArena.CTRL_ABORT):
                 raise RuntimeError("a data-parallel worker failed")
 
-            # Rank-ordered deterministic reduce, then one optimizer step —
-            # DropBack's selection runs exactly here, once, against the
-            # global gradient; its plane commit is the broadcast.
+            # Rank-ordered deterministic reduce into the gradient plane,
+            # then one optimizer step — DropBack's selection runs exactly
+            # here, once, against the global gradient; its plane commit is
+            # the broadcast.  A parameter no microbatch reaches keeps
+            # p.grad None, and its span sums to zeros on every rank.
             with profiled("parallel.reduce"):
-                tree_sum(list(arena.grads), out=self._reduced)
-                np.divide(self._reduced, np.float32(plan.n_micro), out=self._reduced)
-            self.optimizer.load_flat_grad(self._reduced)
+                grads = self.model.grad_plane
+                tree_sum(list(arena.grads), out=grads)
+                np.divide(grads, np.float32(plan.n_micro), out=grads)
             losses.append(tree_sum_scalars(arena.losses) / plan.n_micro)
             if not self._finish_step(losses[-1]):
                 arena.set_flag(SharedArena.CTRL_DIVERGED)
@@ -444,7 +440,6 @@ class ParallelTrainer(Trainer):
         self._arena = None
         self._barrier = None
         self._fence = None
-        self._reduced = None
 
         if child_error and not raising:
             raise RuntimeError(

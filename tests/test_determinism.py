@@ -8,12 +8,13 @@ must be a conscious, versioned decision.
 
 import numpy as np
 
+from repro import profile
 from repro.core import DropBack
 from repro.data import DataLoader
 from repro.models import lenet_300_100, mnist_100_100, wrn_10_1
 from repro.optim import ConstantLR
 from repro.train import Trainer
-from repro.utils.determinism import array_digest, weights_digest
+from repro.utils.determinism import array_digest, training_fingerprint, weights_digest
 
 GOLDEN = {
     "lenet_300_100/seed42": "59d9e4cec15572088681f58a0565a4b3fcb0b16b20d6b583297b01ea57e189a3",
@@ -112,3 +113,23 @@ class TestTrainingDeterminism:
             return weights_digest(m)
 
         assert run(1) != run(2)
+
+
+class TestTrainingFingerprint:
+    MODELS = ("lenet5_bn", "mnist_100_100")
+
+    def test_covers_every_step_and_tensor(self):
+        fp = training_fingerprint(self.MODELS[1:])
+        run = "mnist_100_100/current/zero_untracked=True"
+        assert f"{run}/step3/mask" in fp and f"{run}/eval_logits" in fp
+        assert len(fp) == 3 * 2 * (4 * (3 + 6) + 1)  # criteria x zero x steps x tensors
+
+    def test_same_with_profiling_on_and_off(self):
+        off = training_fingerprint(self.MODELS)
+        profile.enable()
+        try:
+            on = training_fingerprint(self.MODELS)
+        finally:
+            profile.disable()
+            profile.reset()
+        assert on == off

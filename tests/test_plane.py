@@ -4,8 +4,11 @@ Every parameter's ``data`` must be a zero-copy view into the model's
 ``weight_plane``; assignments write *through* the view, and one that
 cannot broadcast raises instead of breaking the aliasing invariant; and
 the invariant must survive optimizer steps, plane re-homing and checkpoint
-save/load round trips without silent copies.
+save/load round trips without silent copies.  Once ``grad_plane`` is in
+use, every ``grad`` is a write-through view of it in the same way.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,11 +16,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import DropBack
-from repro.io import load_dense, load_sparse, save_dense, save_sparse
-from repro.models import mlp
+from repro.io import (
+    apply_sparse_payload,
+    load_dense,
+    load_sparse,
+    save_dense,
+    save_sparse,
+    sparse_payload,
+)
+from repro.models import lenet_300_100, mlp
 from repro.optim import SGD
 from repro.parallel import adopt_plane
-from repro.tensor import Tensor, cross_entropy
+from repro.tensor import Tensor, cross_entropy, no_grad
 
 
 def _model(seed=3):
@@ -109,6 +119,78 @@ class TestWriteThrough:
         m2.load_state_dict(m1.state_dict())
         _assert_plane_aliased(m2)
         np.testing.assert_array_equal(m2.weight_plane, m1.weight_plane)
+
+
+class TestGradientPlane:
+    def test_backward_writes_into_the_plane(self):
+        m, fresh = _model(), _model()
+        plane = m.grad_plane
+        _backward(m)
+        _backward(fresh)  # no gradient plane: plain per-parameter arrays
+        for (name, p), q in zip(m.named_parameters(), fresh.parameters()):
+            span = plane[p.base_index : p.base_index + p.size]
+            assert np.shares_memory(p.grad, span), name
+            assert span.tobytes() == q.grad.tobytes(), name
+
+    def test_assignment_writes_through_and_none_zeroes(self):
+        m = _model()
+        plane = m.grad_plane
+        _backward(m)
+        p = m.parameters()[0]
+        span = plane[p.base_index : p.base_index + p.size]
+        p.grad = np.full(p.shape, 2.5, dtype=np.float32)
+        assert np.shares_memory(p.grad, span)
+        np.testing.assert_array_equal(span, 2.5)
+        p.grad = None
+        assert p.grad is None
+        assert not span.any()
+
+    def test_negative_zero_leaf_gradient_keeps_its_sign(self):
+        m = _model()
+        plane = m.grad_plane
+        p = m.parameters()[0]
+        (p * np.float32(-0.0)).sum().backward()
+        span = plane[p.base_index : p.base_index + p.size]
+        assert not span.any() and np.signbit(span).all()
+
+    def test_gradient_set_before_first_use_is_carried_in(self):
+        m = _model()
+        _backward(m)
+        first, last = m.parameters()[0], m.parameters()[-1]
+        expect = first.grad.copy()
+        last.grad = None
+        plane = m.grad_plane
+        span = plane[first.base_index : first.base_index + first.size]
+        assert np.shares_memory(first.grad, span)
+        np.testing.assert_array_equal(span, expect.reshape(-1))
+        assert last.grad is None
+        assert not plane[last.base_index : last.base_index + last.size].any()
+
+    def test_serving_model_never_allocates_a_gradient_plane(self):
+        m = _model()
+        opt = DropBack(m, k=9, lr=0.3)
+        _backward(m)
+        opt.step()
+        served = apply_sparse_payload(mlp(6, (8,), 3), sparse_payload(m, opt))
+        with no_grad():
+            served(Tensor(np.ones((2, 6), dtype=np.float32)))
+        assert served._grad_plane is None
+
+    def test_dropback_state_at_most_16_bytes_per_weight(self):
+        """DropBack keeps W(0), the candidates, float32 scores and three
+        masks over the plane: 15 bytes per weight, gradients not included
+        (they are the model's ``grad_plane``)."""
+        m = lenet_300_100().finalize(0)
+        m.grad_plane
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            opt = DropBack(m, k=20_000, lr=0.4)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert opt.k == 20_000
+        assert held / m.num_parameters() <= 16.0
 
 
 class TestOptimizersPreserveAliasing:

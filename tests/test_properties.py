@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core import HeapSelector, top_k_mask
+from repro.core import select_scan, top_k_mask
 from repro.init import ConstantInit, ScaledNormalInit
 from repro.init.xorshift import normal_at, uniform_at, xorshift_at
 from repro.tensor import Tensor, log_softmax, unbroadcast
@@ -41,9 +41,7 @@ class TestTopKProperties:
     def test_heap_equals_sort_for_distinct_scores(self, seed, n, k):
         rng = np.random.default_rng(seed)
         scores = rng.permutation(np.arange(n, dtype=np.float64))
-        np.testing.assert_array_equal(
-            HeapSelector().select(scores, k), top_k_mask(scores, k)
-        )
+        np.testing.assert_array_equal(select_scan(scores, k), top_k_mask(scores, k))
 
 
 class TestXorshiftProperties:

@@ -1,9 +1,9 @@
-"""Tests for top-k selection strategies."""
+"""Tests for top-k selection."""
 
 import numpy as np
 import pytest
 
-from repro.core import HeapSelector, top_k_mask
+from repro.core import select_scan, top_k_mask
 
 
 class TestTopKMask:
@@ -39,78 +39,62 @@ class TestTopKMask:
 
 
 class TestSelectors:
+    """select_scan is the paper's streaming queue; on distinct scores it
+    selects the same set as top_k_mask."""
+
     def test_heap_selector_basic(self):
         scores = np.array([3.0, 1.0, 2.0])
-        mask = HeapSelector().select(scores, 2)
-        np.testing.assert_array_equal(mask, [True, False, True])
+        np.testing.assert_array_equal(select_scan(scores, 2), [True, False, True])
 
     def test_heap_matches_sort_on_distinct_scores(self):
         rng = np.random.default_rng(2)
         for trial in range(5):
             scores = rng.permutation(np.linspace(0, 1, 300))  # all distinct
             k = int(rng.integers(1, 299))
-            np.testing.assert_array_equal(
-                HeapSelector().select(scores, k), top_k_mask(scores, k)
-            )
+            np.testing.assert_array_equal(select_scan(scores, k), top_k_mask(scores, k))
 
     def test_heap_edge_cases(self):
         scores = np.arange(5.0)
-        assert not HeapSelector().select(scores, 0).any()
-        assert HeapSelector().select(scores, 5).all()
-        assert HeapSelector().select(scores, 10).all()
+        assert not select_scan(scores, 0).any()
+        assert select_scan(scores, 5).all()
+        assert select_scan(scores, 10).all()
 
     def test_both_select_exactly_k(self):
         rng = np.random.default_rng(3)
         scores = rng.normal(size=100)
         assert top_k_mask(scores, 17).sum() == 17
-        assert HeapSelector().select(scores, 17).sum() == 17
+        assert select_scan(scores, 17).sum() == 17
 
-
-class TestHeapFastPath:
-    """HeapSelector.select (argpartition + threshold scan) must reproduce
-    the streaming scan exactly, index-order tie-breaking included."""
-
-    def test_matches_scan_on_crafted_ties(self):
-        sel = HeapSelector()
-        cases = [
-            (np.array([1.0, 2.0, 2.0, 2.0, 0.5, 2.0, 3.0]), 3),
-            (np.zeros(10), 4),  # all tied
-            (np.array([5.0, 1.0, 1.0, 1.0, 1.0, 5.0]), 4),
-            (np.array([1.0, 1.0, 1.0]), 2),
-        ]
-        for scores, k in cases:
-            np.testing.assert_array_equal(
-                sel.select(scores, k), sel.select_scan(scores, k), err_msg=f"k={k}"
-            )
-
-    @pytest.mark.parametrize("chunk_size", [7, 64, 1 << 16])
-    def test_matches_scan_fuzzed(self, chunk_size):
-        sel = HeapSelector(chunk_size=chunk_size)
-        rng = np.random.default_rng(4)
-        for trial in range(40):
-            n = int(rng.integers(1, 300))
-            k = int(rng.integers(1, n + 1))
-            if trial % 2:
-                scores = rng.integers(0, 5, size=n).astype(float)  # heavy ties
-            else:
-                scores = rng.normal(size=n)
-            np.testing.assert_array_equal(
-                sel.select(scores, k),
-                sel.select_scan(scores, k),
-                err_msg=f"n={n} k={k} chunk={chunk_size}",
-            )
-
-    def test_chunked_threshold_exact(self):
-        rng = np.random.default_rng(5)
-        scores = rng.normal(size=1000)
-        chunked = HeapSelector(chunk_size=100)
+    def test_scan_tie_rule(self):
+        # A tie never evicts (index 5 stays out); a larger score evicts the
+        # lowest-index tie in the heap (index 1 leaves for index 6).
+        scores = np.array([1.0, 2.0, 2.0, 2.0, 0.5, 2.0, 3.0])
         np.testing.assert_array_equal(
-            chunked.select(scores, 123), HeapSelector().select(scores, 123)
+            select_scan(scores, 3), [False, False, True, True, False, False, True]
         )
 
-    def test_invalid_chunk_size(self):
-        with pytest.raises(ValueError):
-            HeapSelector(chunk_size=0)
+
+class TestFloat32Selection:
+    """DropBack selects on its float32 scores; the float64 reference step
+    selects on float64 ones.  The upcast is exact and keeps the order, but
+    which tied entries argpartition keeps at the cut is numpy's choice, so
+    training keeps its bits only while that choice does not depend on the
+    dtype.  Heavy-tie vectors, where ties straddle the cut, check it."""
+
+    def test_float32_mask_equals_float64_mask_under_heavy_ties(self):
+        rng = np.random.default_rng(6)
+        straddled = 0
+        for trial in range(300):
+            n = int(np.exp(rng.uniform(np.log(1_000), np.log(300_000))))
+            levels = int(rng.integers(2, max(3, n // 8)))
+            s32 = (rng.integers(0, levels, size=n) * np.float32(0.37)).astype(np.float32)
+            k = int(rng.integers(1, n))
+            m32 = top_k_mask(s32, k)
+            m64 = top_k_mask(s32.astype(np.float64), k)
+            np.testing.assert_array_equal(m32, m64, err_msg=f"trial={trial} n={n} k={k}")
+            cut = s32[m32].min()
+            straddled += bool((s32[~m32] == cut).any())
+        assert straddled > 250  # the ties really do fall on both sides
 
 
 class TestSelectInto:
