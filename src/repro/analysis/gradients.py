@@ -36,7 +36,7 @@ def accumulated_gradients(model: Module, w0: np.ndarray | None = None) -> np.nda
         Optional explicit initial flat weight vector; defaults to
         regenerating each parameter's initialization.
     """
-    current = np.concatenate([p.data.reshape(-1) for p in model.parameters()])
+    current = model.weight_plane
     if w0 is None:
         seed = model.seed
         w0 = np.concatenate(
@@ -91,14 +91,14 @@ class TopKChurnTracker(Callback):
         self._w0: np.ndarray | None = None
         self._prev_mask: np.ndarray | None = None
 
-    def _flat(self, trainer) -> np.ndarray:
-        return np.concatenate([p.data.reshape(-1) for p in trainer.model.parameters()])
-
     def on_train_begin(self, trainer) -> None:
-        self._w0 = self._flat(trainer).astype(np.float64)
+        self._w0 = trainer.model.weight_plane.astype(np.float64)
 
     def on_step_end(self, trainer, step: int, loss: float) -> None:
-        scores = np.abs(self._flat(trainer).astype(np.float64) - self._w0)
+        # |w_t - w_0| in float64, computed straight from the plane (the
+        # float32 operand is upcast exactly) into one plane-sized buffer.
+        scores = np.subtract(trainer.model.weight_plane, self._w0)
+        np.abs(scores, out=scores)
         mask = top_k_mask(scores, self.k)
         if self._prev_mask is None:
             self.swaps.append(int(mask.sum()))

@@ -5,9 +5,9 @@ Every kernel here is parity-tested against the ``reference`` backend
 committed normalized baseline, so a "fast" path that stops being fast or
 starts being wrong cannot ship silently.  A rewrite of a kernel here also
 keeps every bit of a training run (losses, gradients, the weight plane):
-it may reorder memory, not arithmetic.  Two conv-backward rewrites rely on
-OpenBLAS rounding a transposed product, and a product with extra zero
-columns, as it rounds the original (see docs/kernels.md).
+it may reorder memory, not arithmetic.  Three conv-backward rewrites rely
+on OpenBLAS rounding a transposed product or operand, and a product with
+extra zero columns, as it rounds the original (see docs/kernels.md).
 
 What actually wins on this op mix (measured, not assumed; VGG-S x0.125
 layers at batch 32, 2-vCPU host, BLAS at one thread):
@@ -16,7 +16,15 @@ layers at batch 32, 2-vCPU host, BLAS at one thread):
   allocation in a conv step; acquiring it from the refcount-guarded pool
   (``zero=False``: im2col overwrites every element) makes it persistent
   across training steps.  Likewise the pad buffer, GEMM outputs, and the
-  pooling outputs and masks.
+  pooling outputs and masks.  The pool matches requests by bytes, so an
+  evaluation at another batch size reuses the training step's buffers.
+* **No patch matrix kept on the per-sample path** — above
+  ``FLAT_CONV_MAX_OHW`` the forward runs im2col and the per-sample GEMMs
+  a chunk of samples at a time, sized so the chunk's patch matrix stays
+  in L2, and keeps only its input.  The backward rebuilds the patch
+  matrix once, in the flat ``(K, N*OH*OW)`` layout, for the weight
+  gradient ``cols @ g.T``.  No 9x patch matrix lives from forward to
+  backward (9.4 MB per 32x32 layer of VGG-S x0.125 at batch 32).
 * **Batch-flattened conv GEMM** — for the late-layer shapes conv produces
   (many channels, small spatial output), N separate ``(F,K) @ (K,OHW)``
   products are dominated by per-GEMM overhead.  Building the patch matrix
@@ -140,6 +148,21 @@ def _padded_input(x: np.ndarray, pad: int) -> np.ndarray:
     return xp
 
 
+def _flat_cols(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> np.ndarray:
+    """The patch matrix of padded ``xp`` in (K, N*OH*OW) layout, pooled.
+
+    The transposes live in the im2col writes (same strided-copy cost as
+    the batched layout), so the whole batch is one GEMM operand.
+    """
+    n, c = xp.shape[:2]
+    cols = acquire_workspace((c, kh, kw, n, oh, ow), xp.dtype, zero=False)
+    xs = xp.swapaxes(0, 1)  # (C, N, H, W) view
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, i, j] = xs[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
+    return cols.reshape(c * kh * kw, n * oh * ow)
+
+
 @register_kernel("conv2d_forward", "fast")
 @profiled("kernels.conv2d_forward.fast")
 def conv2d_forward(
@@ -170,15 +193,7 @@ def conv2d_forward(
     }
 
     if ohw <= FLAT_CONV_MAX_OHW:
-        # Patch matrix built directly in (K, N*OH*OW) layout: the whole
-        # batch is one GEMM and the transposes live in the im2col writes
-        # (same strided-copy cost as the batched layout).
-        cols = acquire_workspace((c, kh, kw, n, oh, ow), xp.dtype, zero=False)
-        xs = xp.swapaxes(0, 1)  # (C, N, H, W) view
-        for i in range(kh):
-            for j in range(kw):
-                cols[:, i, j] = xs[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
-        cf = cols.reshape(k, n * ohw)
+        cf = _flat_cols(xp, kh, kw, stride, oh, ow)
         o2 = acquire_workspace((f, n * ohw), xp.dtype, zero=False)
         np.matmul(w_flat, cf, out=o2)
         if bias is not None:
@@ -186,21 +201,28 @@ def conv2d_forward(
         # repro: noqa[RPA002] op output; escapes into the returned Tensor
         out = np.empty((n, f, oh, ow), dtype=xp.dtype)
         np.copyto(out, o2.reshape(f, n, oh, ow).swapaxes(0, 1))
-        ctx.update(flat=True, cols=cols)
+        ctx.update(flat=True, cols=cf)
         return out, ctx
 
-    # Large spatial output: per-sample GEMMs are already BLAS-sized; keep
-    # the batched layout but run it entirely on pooled buffers.
-    cols = acquire_workspace((n, c, kh, kw, oh, ow), xp.dtype, zero=False)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
-    cols3 = cols.reshape(n, k, ohw)
+    # Large spatial output: per-sample GEMMs are already BLAS-sized.  im2col
+    # and the GEMMs run a chunk of samples at a time, sized so the chunk's
+    # patch matrix stays in L2; the ctx keeps only the input, from which the
+    # backward rebuilds the patch matrix.
+    per_sample = k * ohw * xp.itemsize
+    chunk = max(1, min(n, L2_TARGET_BYTES // per_sample))
+    cols = acquire_workspace((chunk, c, kh, kw, oh, ow), xp.dtype, zero=False)
     out3 = acquire_workspace((n, f, ohw), xp.dtype, zero=False)
-    np.matmul(w_flat, cols3, out=out3)
+    for lo in range(0, n, chunk):
+        part = cols[: min(chunk, n - lo)]
+        xs = xp[lo : lo + chunk]
+        for i in range(kh):
+            rows = slice(i, i + stride * oh, stride)
+            for j in range(kw):
+                part[:, :, i, j] = xs[:, :, rows, j : j + stride * ow : stride]
+        np.matmul(w_flat, part.reshape(len(part), k, ohw), out=out3[lo : lo + chunk])
     if bias is not None:
         out3 += bias.reshape(1, f, 1)
-    ctx.update(flat=False, cols=cols)
+    ctx.update(flat=False, x=x)
     return out3.reshape(n, f, oh, ow), ctx
 
 
@@ -214,35 +236,47 @@ def conv2d_backward(
     need_gb: bool,
 ) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
     """Backward matching :func:`conv2d_forward`'s layout choice."""
-    n, c = ctx["x_shape"][:2]
-    f, _, kh, kw = ctx["w_shape"]
+    n = ctx["x_shape"][0]
+    f = ctx["w_shape"][0]
     oh, ow = ctx["oh"], ctx["ow"]
-    ohw = oh * ow
-    k = c * kh * kw
+    flat = ctx["flat"]
 
-    if ctx["flat"]:
-        cf = ctx["cols"].reshape(k, n * ohw)
-        g2 = acquire_workspace((f, n * ohw), g.dtype, zero=False)
+    gw = None
+    if flat or need_gw:
+        g2 = acquire_workspace((f, n * oh * ow), g.dtype, zero=False)
         np.copyto(g2.reshape(f, n, oh, ow), g.swapaxes(0, 1))
+        if need_gw:
+            gw = _weight_grad(g2, ctx)
+    if flat:
         gb = g2.sum(axis=1) if need_gb else None
-        gw = None
-        if need_gw:
-            # (K, N*OHW) @ (N*OHW, F) is this GEMM's faster orientation; the
-            # small (K, F) result is transposed into the gradient buffer.
-            gwt = acquire_workspace((k, f), g.dtype, zero=False)
-            np.matmul(cf, g2.T, out=gwt)
-            gw = acquire_workspace((f, k), g.dtype, zero=False)
-            np.copyto(gw, gwt.T)
-            gw = gw.reshape(ctx["w_shape"])
     else:
-        cols3 = ctx["cols"].reshape(n, k, ohw)
-        g2 = g.reshape(n, f, ohw)
+        g2 = g.reshape(n, f, oh * ow)  # the batched input gradient's layout
         gb = g2.sum(axis=(0, 2)) if need_gb else None
-        gw = None
-        if need_gw:
-            gw = np.einsum("nfo,nko->fk", g2, cols3, optimize=True).reshape(ctx["w_shape"])
     gx = _input_grad(g, g2, ctx) if need_gx else None
     return gx, gw, gb
+
+
+def _weight_grad(g2: np.ndarray, ctx: dict) -> np.ndarray:
+    """``cols @ g2.T`` from the flat ``(K, N*OHW)`` patch matrix, transposed.
+
+    ``(K, N*OHW) @ (N*OHW, F)`` is this GEMM's faster orientation; the
+    small ``(K, F)`` result is transposed into the gradient buffer.  The
+    flat path kept its patch matrix in ctx; the per-sample path rebuilds it
+    from its input, and hands it back to the pool on return, before the
+    input gradient takes its own columns buffer.
+    """
+    f, _, kh, kw = ctx["w_shape"]
+    if ctx["flat"]:
+        cf = ctx["cols"]
+    else:
+        xp = _padded_input(ctx["x"], ctx["pad"])
+        cf = _flat_cols(xp, kh, kw, ctx["stride"], ctx["oh"], ctx["ow"])
+    k = cf.shape[0]
+    gwt = acquire_workspace((k, f), g2.dtype, zero=False)
+    np.matmul(cf, g2.T, out=gwt)
+    gw = acquire_workspace((f, k), g2.dtype, zero=False)
+    np.copyto(gw, gwt.T)
+    return gw.reshape(ctx["w_shape"])
 
 
 def _input_grad(g: np.ndarray, g2: np.ndarray, ctx: dict) -> np.ndarray:

@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.profile import OpStat, PerfReport, disable, enable, is_enabled, snapshot
 from repro.tensor import kernels
+from repro.tensor.workspace import workspace_bytes
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.train.trainer import Trainer
@@ -92,7 +93,7 @@ class WeightSnapshotCallback(Callback):
         self._next_log_step = 1
 
     def _flat_weights(self, trainer: "Trainer") -> np.ndarray:
-        return np.concatenate([p.data.reshape(-1) for p in trainer.model.parameters()])
+        return trainer.model.weight_plane.copy()
 
     def on_train_begin(self, trainer: "Trainer") -> None:
         self.steps.append(0)
@@ -124,7 +125,8 @@ class ProfilerCallback(Callback):
     available as :attr:`report`, restoring the previous enable state.  Epoch
     wall time and step counts are traced on the way (``epoch_trace`` in the
     report metadata), so a report carries op-level, step-level, and
-    epoch-level cost in one JSON document.
+    epoch-level cost in one JSON document.  ``workspace_bytes`` in the
+    metadata records the kernels' workspace pool at train end.
 
     Parameters
     ----------
@@ -200,6 +202,7 @@ class ProfilerCallback(Callback):
             for name, value in snap["counters"].items()
             if value - self._baseline["counters"].get(name, 0)
         }
+        held, busy = workspace_bytes()
         meta = {
             "wall_seconds": wall,
             "steps": self._steps,
@@ -208,6 +211,9 @@ class ProfilerCallback(Callback):
             "backend": kernels.get_backend(),
             # Data-parallel rank count (ParallelTrainer); 1 for Trainer.
             "workers": int(getattr(trainer, "workers", 1)),
+            # Bytes the kernels' workspace pool holds (process-wide, not
+            # just this run's), and the part still in use at train end.
+            "workspace_bytes": {"held": held, "busy": busy},
             **self.meta,
         }
         # Sanitized runs carry checker overhead in every op; stamp them so

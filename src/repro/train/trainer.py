@@ -196,6 +196,10 @@ class Trainer:
             with profiled("trainer.backward"):
                 loss.backward()
             losses.append(loss.item())
+            # Free the step's graph before the next forward: its kernel
+            # contexts hand their workspaces back to the pool, where that
+            # forward finds them.
+            del logits, loss
             if not self._finish_step(losses[-1]):
                 break
         return losses

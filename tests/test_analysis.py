@@ -97,6 +97,17 @@ class TestAccumulatedGradients:
         w1 = np.concatenate([p.data.reshape(-1) for p in m.parameters()])
         np.testing.assert_allclose(accumulated_gradients(m), w1 - w0, atol=1e-6)
 
+    def test_same_bytes_as_concatenating_parameters(self):
+        m = mlp(4, (8,), 2).finalize(1)
+        ds = _blobs()
+        Trainer(m, SGD(m, lr=0.3)).fit(DataLoader(ds, 32, seed=0), ds, epochs=1)
+        params = list(m.parameters())
+        w = np.concatenate([p.data.reshape(-1) for p in params])
+        w0 = np.concatenate([p.initial_values(m.seed).reshape(-1) for p in params])
+        acc = accumulated_gradients(m)
+        assert acc.dtype == (w - w0).dtype
+        assert acc.tobytes() == (w - w0).tobytes()
+
     def test_explicit_w0(self):
         m = mlp(4, (8,), 2).finalize(1)
         w0 = np.zeros(m.num_parameters())
@@ -160,6 +171,36 @@ class TestTopKChurnTracker:
         tr = Trainer(m, SGD(m, lr=0.3), callbacks=[cb])
         tr.fit(DataLoader(ds, 32, seed=0), ds, epochs=1)
         assert cb.series()[0] == 10
+
+    def test_series_matches_concatenated_weights(self, tiny_mnist):
+        """Scores read from the plane give the swap series that scores from
+        the concatenated parameters give, step for step."""
+        from repro.core.selection import top_k_mask
+        from repro.train import LambdaCallback
+
+        train, test = tiny_mnist
+        m = mnist_100_100().finalize(5)
+        params = list(m.parameters())
+
+        def flat():
+            return np.concatenate([p.data.reshape(-1) for p in params]).astype(np.float64)
+
+        w0 = flat()
+        expected, prev = [], None
+
+        def reference(trainer, step, loss):
+            nonlocal prev
+            mask = top_k_mask(np.abs(flat() - w0), 2000)
+            expected.append(int(mask.sum() if prev is None else np.count_nonzero(mask & ~prev)))
+            prev = mask
+
+        cb = TopKChurnTracker(k=2000)
+        tr = Trainer(m, SGD(m, lr=0.4), schedule=ConstantLR(0.4),
+                     callbacks=[cb, LambdaCallback(on_step_end=reference)])
+        tr.fit(DataLoader(train, 50, seed=0), test, epochs=1)
+        assert cb._w0.tobytes() == w0.tobytes()
+        assert len(expected) == 12
+        assert cb.series().tolist() == expected
 
     def test_churn_declines_under_sgd(self, tiny_mnist):
         """Fig. 2 for baseline SGD: top-k membership stabilizes."""

@@ -164,6 +164,15 @@ class TestAnalyzeJobWiring:
         assert "repro train" in runs
         assert "--perf-out" in runs
 
+    def test_conv_smoke_train_runs_under_sanitizers(self, workflow):
+        # A conv net acquires pooled workspaces, so poisoning is exercised.
+        step = next(
+            s for s in workflow["jobs"]["analyze"]["steps"]
+            if "--model densenet-tiny" in s.get("run", "")
+        )
+        assert step.get("env") == {"REPRO_SANITIZE": "1"}
+        assert "repro train" in step["run"]
+
     def test_serving_tests_run_under_sanitizers(self, workflow):
         # The lock-order watchdog and the per-materialization plane check
         # then cover the registry's eviction path.

@@ -227,38 +227,100 @@ class TestWorkspaceCache:
 
 
     def test_vgg_steps_after_the_first_allocate_no_workspace(self, rng):
-        """Once the first step has filled the pool, a VGG-S training step
-        finds every buffer it needs there, however many of one shape it
-        holds at once (five conv weight gradients share one key)."""
+        """Once the first round (a step, then an evaluation at another batch
+        size) has filled the pool, every later VGG-S training step and
+        evaluation finds each buffer it needs there, however many it holds
+        at once (five conv weight gradients share one size)."""
         from repro import profile
         from repro.core import DropBack
         from repro.models import vgg_s
-        from repro.tensor import cross_entropy, kernels
+        from repro.tensor import cross_entropy, kernels, no_grad
         from repro.tensor.workspace import clear_workspace_cache
 
         model = vgg_s(width_mult=0.125).finalize(0)
         opt = DropBack(model, k=20_000, lr=0.05)
         x = rng.standard_normal((8, 3, 32, 32)).astype(np.float32)
         y = rng.integers(0, 10, size=8)
+        x_eval = rng.standard_normal((16, 3, 32, 32)).astype(np.float32)
+
+        def step():
+            model.train()
+            opt.zero_grad()
+            cross_entropy(model(Tensor(x)), y).backward()
+            opt.step()
+
+        def evaluate():
+            model.eval()
+            with no_grad():
+                model(Tensor(x_eval))
+
         clear_workspace_cache()
         was_enabled = profile.is_enabled()
         profile.enable()
-        misses = []
+        misses = []  # per round: (step, evaluation)
         try:
             with kernels.use_backend("fast"):
                 for _ in range(5):
-                    before = profile.snapshot()["counters"].get("conv.workspace_misses", 0)
-                    opt.zero_grad()
-                    cross_entropy(model(Tensor(x)), y).backward()
-                    opt.step()
-                    after = profile.snapshot()["counters"].get("conv.workspace_misses", 0)
-                    misses.append(after - before)
+                    counts = []
+                    for phase in (step, evaluate):
+                        before = profile.snapshot()["counters"].get("conv.workspace_misses", 0)
+                        phase()
+                        after = profile.snapshot()["counters"].get("conv.workspace_misses", 0)
+                        counts.append(after - before)
+                    misses.append(tuple(counts))
         finally:
             if not was_enabled:
                 profile.disable()
             clear_workspace_cache()
-        assert misses[0] > 0
-        assert misses[1:] == [0, 0, 0, 0]
+        assert misses[0][0] > 0
+        assert misses[1:] == [(0, 0)] * 4
+
+    def test_vgg_fit_pool_holds_at_most_20_mb(self):
+        """A VGG-S x0.125 fit at batch 8 that evaluates at batch 16 keeps the
+        pool at most 20 MB: evaluation reuses the training buffers' bytes,
+        and no step's buffers stay busy through the next step."""
+        from repro.core import DropBack
+        from repro.data import DataLoader, synth_cifar
+        from repro.models import vgg_s
+        from repro.tensor import kernels
+        from repro.tensor.workspace import clear_workspace_cache, workspace_bytes
+        from repro.train import LambdaCallback, Trainer
+
+        train, val = synth_cifar(n_train=32, n_test=32, seed=0)
+        model = vgg_s(width_mult=0.125).finalize(0)
+        opt = DropBack(model, k=20_000, lr=0.05)
+        held = []
+        record = LambdaCallback(
+            on_step_end=lambda *_: held.append(workspace_bytes()[0]),
+            on_epoch_end=lambda *_: held.append(workspace_bytes()[0]),
+        )
+        clear_workspace_cache()
+        try:
+            with kernels.use_backend("fast"):
+                Trainer(model, opt, callbacks=[record]).fit(
+                    DataLoader(train, 8, seed=0),
+                    DataLoader(val, 16, shuffle=False),
+                    epochs=2,
+                )
+        finally:
+            clear_workspace_cache()
+        assert len(held) == 2 * (4 + 1)
+        assert max(held) <= 20e6
+
+    def test_per_sample_conv_ctx_keeps_no_patch_matrix(self, rng):
+        """Above FLAT_CONV_MAX_OHW the conv keeps only its input for the
+        backward, which rebuilds the K*N*OH*OW patch matrix itself."""
+        from repro.tensor.kernels import fast
+
+        n, c, f, hw = 4, 3, 5, 16
+        x = rng.standard_normal((n, c, hw, hw)).astype(np.float32)
+        w = rng.standard_normal((f, c, 3, 3)).astype(np.float32)
+        assert hw * hw > fast.FLAT_CONV_MAX_OHW
+        _, ctx = fast.conv2d_forward(x, w, None, 1, 1, hw, hw)
+        patch = c * 3 * 3 * n * hw * hw
+        arrays = [v for v in ctx.values() if isinstance(v, np.ndarray)]
+        assert any(a is x for a in arrays)
+        assert all(a.size != patch for a in arrays)
 
 
 class TestPoolWorkspace:

@@ -207,6 +207,15 @@ class TestProfilerCallback:
             self._fit(cb)
         assert cb.report.meta["backend"] == "reference"
 
+    def test_report_stamps_workspace_bytes(self):
+        from repro.tensor.workspace import workspace_bytes
+
+        cb = ProfilerCallback(report_name="pool")
+        self._fit(cb)
+        stamped = cb.report.meta["workspace_bytes"]
+        assert stamped == dict(zip(("held", "busy"), workspace_bytes()))
+        assert stamped["held"] >= stamped["busy"] >= 0
+
     def test_profiling_does_not_change_numerics(self):
         digest_plain = weights_digest(self._fit(None))
         digest_profiled = weights_digest(self._fit(ProfilerCallback(report_name="d")))

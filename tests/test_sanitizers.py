@@ -134,18 +134,22 @@ class TestDetachGuard:
 class TestWorkspacePoisoning:
     SHAPE = (4, 4)
 
-    def _free_buffer(self) -> tuple:
-        """Put one released float32 buffer in the pool, return its key."""
+    def _free_buffer(self) -> int:
+        """Put one released float32 buffer in the pool, return its index."""
         buf = workspace.acquire_workspace(self.SHAPE, np.float32)
-        key = (self.SHAPE, np.dtype(np.float32).str)
-        assert any(b is buf for b in workspace._WORKSPACE[key])
+        assert any(b is buf.base for b in workspace._WORKSPACE)
+        index = next(i for i, b in enumerate(workspace._WORKSPACE) if b is buf.base)
         del buf  # release: pool holds the only reference now
-        return key
+        return index
+
+    def _as_float32(self, index: int) -> np.ndarray:
+        """The pooled buffer at ``index`` as the float32 array it served."""
+        return workspace._WORKSPACE[index].view(np.float32).reshape(self.SHAPE)
 
     def test_poison_fills_free_buffers_with_nan(self):
-        key = self._free_buffer()
+        index = self._free_buffer()
         assert workspace.poison_free_workspaces() >= 1
-        assert np.isnan(workspace._WORKSPACE[key][0]).all()
+        assert np.isnan(self._as_float32(index)).all()
 
     def test_clean_reacquire_after_poison_passes(self):
         self._free_buffer()
@@ -154,12 +158,25 @@ class TestWorkspacePoisoning:
         assert not np.isnan(buf).any()  # zeroed on hand-out
 
     def test_use_after_release_write_is_caught(self):
-        key = self._free_buffer()
+        index = self._free_buffer()
         workspace.poison_free_workspaces()
         # Seeded fault: a stale reference writes into the released buffer.
-        workspace._WORKSPACE[key][0][0, 0] = 1.0
+        self._as_float32(index)[0, 0] = 1.0
         with pytest.raises(workspace.WorkspaceUseAfterReleaseError, match="after release"):
             workspace.acquire_workspace(self.SHAPE, np.float32)
+
+    def test_poison_covers_buffers_of_every_dtype(self):
+        """A buffer that last served a bool mask is poisoned too, and reads
+        as NaN in whichever float dtype it serves next."""
+        mask = workspace.acquire_workspace((16,), np.bool_)
+        del mask
+        assert workspace.poison_free_workspaces() == 1
+        (buf,) = workspace._WORKSPACE
+        assert np.isnan(buf.view(np.float32)).all()
+        buf[3] = 0  # seeded fault: a stale mask writes one element
+        del buf
+        with pytest.raises(workspace.WorkspaceUseAfterReleaseError, match="after release"):
+            workspace.acquire_workspace((4,), np.float32)
 
     def test_held_buffers_are_not_poisoned(self):
         held = workspace.acquire_workspace(self.SHAPE, np.float32)
@@ -187,10 +204,9 @@ class TestWorkspacePoisoning:
         gc.collect()
         assert workspace.poison_free_workspaces() >= 1
         # Seeded fault: overwrite one element of every free poisoned buffer.
-        for pool in workspace._WORKSPACE.values():
-            for buf in pool:
-                if np.isnan(buf).all():
-                    buf.reshape(-1)[0] = 1.0
+        for buf in workspace._WORKSPACE:
+            if np.isnan(buf.view(np.float32)).all():
+                buf.view(np.float32)[0] = 1.0
         with pytest.raises(workspace.WorkspaceUseAfterReleaseError, match="after release"):
             fast.conv2d_forward(x, w, None, 1, 1, 6, 6)
 

@@ -150,6 +150,17 @@ class TestCallbacks:
         tr.fit(DataLoader(ds, 32, seed=0), ds, epochs=1)
         assert len(cb.snapshots) == 3
 
+    def test_weight_snapshots_copy_the_plane(self):
+        ds = _toy_data(n=64)
+        cb = WeightSnapshotCallback(every=1)
+        m = mlp(4, (8,), 2).finalize(1)
+        Trainer(m, SGD(m, lr=0.1), callbacks=[cb]).fit(DataLoader(ds, 32, seed=0), ds, epochs=1)
+        flat = np.concatenate([p.data.reshape(-1) for p in m.parameters()])
+        last = cb.snapshots[-1]
+        assert last.dtype == flat.dtype and last.tobytes() == flat.tobytes()
+        m.weight_plane[:] = 0.0  # a snapshot is a copy, not a view
+        assert last.tobytes() == flat.tobytes()
+
     def test_snapshot_validation(self):
         with pytest.raises(ValueError):
             WeightSnapshotCallback(every=0)
